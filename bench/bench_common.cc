@@ -201,7 +201,10 @@ void JsonReport::Upsert(
 }
 
 void JsonReport::Note(const std::string& key, const std::string& value) {
-  Upsert(&notes_, key, "\"" + obs::JsonEscape(value) + "\"");
+  std::string quoted = "\"";
+  quoted += obs::JsonEscape(value);
+  quoted += '"';
+  Upsert(&notes_, key, std::move(quoted));
 }
 
 void JsonReport::Metric(const std::string& key, double value) {
@@ -230,7 +233,9 @@ void JsonReport::MetricResult(const std::string& prefix,
 }
 
 std::string JsonReport::ToJson() const {
-  std::string out = "{\"bench\":\"" + obs::JsonEscape(name_) + "\"";
+  std::string out = "{\"bench\":\"";
+  out += obs::JsonEscape(name_);
+  out += '"';
   auto append_section =
       [&out](const char* section,
              const std::vector<std::pair<std::string, std::string>>& entries) {
@@ -241,7 +246,10 @@ std::string JsonReport::ToJson() const {
         for (const auto& [key, value] : entries) {
           if (!first) out += ",";
           first = false;
-          out += "\"" + obs::JsonEscape(key) + "\":" + value;
+          out += '"';
+          out += obs::JsonEscape(key);
+          out += "\":";
+          out += value;
         }
         out += "}";
       };

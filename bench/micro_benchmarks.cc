@@ -422,7 +422,8 @@ int KernelReport(const util::FlagParser& flags) {
   report.Metric("transient_count_speedup_x",
                 transient_virtual_ns / std::max(transient_fused_ns, 1e-9));
 
-  // Point lookups: CountUpTo virtual binary search vs bucketed frozen scan.
+  // Point lookups: CountUpTo virtual binary search vs the frozen CSR's
+  // branchless upper bound.
   constexpr size_t kProbes = 1 << 15;
   std::vector<graph::EdgeId> probe_edges(kProbes);
   std::vector<bool> probe_dirs(kProbes);

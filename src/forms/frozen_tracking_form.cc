@@ -1,8 +1,6 @@
 #include "forms/frozen_tracking_form.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -12,9 +10,6 @@ FrozenTrackingForm::FrozenTrackingForm(const TrackingForm& source) {
   size_t num_slots = 2 * source.num_edges();
   offsets_.assign(num_slots + 1, 0);
   times_.reserve(source.TotalEvents());
-  hot_index_.assign(num_slots, {});
-  first_bucket_.assign(num_slots, 0);
-
   for (graph::EdgeId road = 0; road < source.num_edges(); ++road) {
     for (bool forward : {true, false}) {
       size_t slot = Slot(road, forward);
@@ -24,8 +19,6 @@ FrozenTrackingForm::FrozenTrackingForm(const TrackingForm& source) {
     }
   }
   offsets_[num_slots] = times_.size();
-
-  for (size_t slot = 0; slot < num_slots; ++slot) IndexSlot(slot);
 }
 
 FrozenTrackingForm::FrozenTrackingForm(std::vector<double> times,
@@ -40,9 +33,6 @@ FrozenTrackingForm::FrozenTrackingForm(std::vector<double> times,
     INNET_CHECK(std::is_sorted(times_.begin() + offsets_[s],
                                times_.begin() + offsets_[s + 1]));
   }
-  hot_index_.assign(num_slots, {});
-  first_bucket_.assign(num_slots, 0);
-  for (size_t slot = 0; slot < num_slots; ++slot) IndexSlot(slot);
 }
 
 FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
@@ -51,10 +41,6 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
   INNET_CHECK(delta.NumSlots() == num_slots);
   offsets_.assign(num_slots + 1, 0);
   times_.reserve(previous.times_.size() + delta.times.size());
-  hot_index_.assign(num_slots, {});
-  first_bucket_.assign(num_slots, 0);
-  bucket_starts_.reserve(previous.bucket_starts_.size() +
-                         delta.times.size() / kEventsPerBucket + num_slots);
 
   size_t slot = 0;
   while (slot < num_slots) {
@@ -62,8 +48,8 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
     size_t d_end = delta.offsets[slot + 1];
     if (d_begin == d_end) {
       // Maximal clean run [slot, run_end): previous timestamps of
-      // consecutive slots are contiguous, so the whole run is one bulk copy.
-      // Bucket indexes carry over with only first_bucket rebased.
+      // consecutive slots are contiguous, so the whole run is one bulk copy
+      // and its row pointers shift by one constant.
       size_t run_end = slot;
       while (run_end < num_slots &&
              delta.offsets[run_end] == delta.offsets[run_end + 1]) {
@@ -75,17 +61,6 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
                     previous.times_.begin() + previous.offsets_[run_end]);
       for (size_t s = slot; s < run_end; ++s) {
         offsets_[s] = previous.offsets_[s] + shift;
-        size_t n = previous.offsets_[s + 1] - previous.offsets_[s];
-        if (n == 0) continue;
-        const HotIndex hot = previous.hot_index_[s];
-        const uint32_t* starts =
-            previous.bucket_starts_.data() + previous.first_bucket_[s];
-        INNET_CHECK(bucket_starts_.size() <=
-                    std::numeric_limits<uint32_t>::max());
-        first_bucket_[s] = static_cast<uint32_t>(bucket_starts_.size());
-        bucket_starts_.insert(bucket_starts_.end(), starts,
-                              starts + NumBuckets(n, hot.inv_width) + 1);
-        hot_index_[s] = hot;
       }
       slot = run_end;
       continue;
@@ -107,114 +82,26 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
       times_.resize(at + (old_end - old_begin) + (new_end - new_begin));
       std::merge(old_begin, old_end, new_begin, new_end, times_.begin() + at);
     }
-    offsets_[slot + 1] = times_.size();  // Overwritten unless last slot.
-    IndexSlot(slot);
     ++slot;
   }
   offsets_[num_slots] = times_.size();
 }
 
-// Bucketed prefix-count index: per slot, cut [first, last] event times
-// into ceil(n / kEventsPerBucket) uniform buckets and precompute the
-// cumulative event count at every bucket boundary (the index of the first
-// event at or past the boundary). bucket_starts_ holds num_buckets + 1
-// entries per non-empty slot; starts[0] == 0 and starts[num_buckets] == n.
-void FrozenTrackingForm::IndexSlot(size_t slot) {
-  size_t n = offsets_[slot + 1] - offsets_[slot];
-  if (n == 0) return;
-  // bucket_starts_ entries and first_bucket_ offsets are uint32: a slot
-  // whose event count (or whose index position) no longer fits would
-  // silently corrupt every lookup, so freezing refuses it outright.
-  INNET_CHECK(n <= std::numeric_limits<uint32_t>::max());
-  INNET_CHECK(bucket_starts_.size() <= std::numeric_limits<uint32_t>::max());
-  const double* seq = times_.data() + offsets_[slot];
-  HotIndex hot;
-  hot.t0 = seq[0];
-  hot.last = seq[n - 1];
-  double span = seq[n - 1] - seq[0];
-  size_t nb = (n + kEventsPerBucket - 1) / kEventsPerBucket;
-  if (span <= 0.0) nb = 1;  // All events share one timestamp.
-  hot.inv_width = span > 0.0 ? static_cast<double>(nb) / span : 0.0;
-  INNET_DCHECK(NumBuckets(n, hot.inv_width) == nb);
-  first_bucket_[slot] = static_cast<uint32_t>(bucket_starts_.size());
-  double width = span > 0.0 ? span / static_cast<double>(nb) : 0.0;
-  size_t cursor = 0;
-  bucket_starts_.push_back(0);
-  for (size_t b = 1; b < nb; ++b) {
-    double boundary = hot.t0 + width * static_cast<double>(b);
-    while (cursor < n && seq[cursor] < boundary) ++cursor;
-    bucket_starts_.push_back(static_cast<uint32_t>(cursor));
-  }
-  bucket_starts_.push_back(static_cast<uint32_t>(n));
-  hot_index_[slot] = hot;
-}
-
 void FrozenTrackingForm::CountUpToSlots(const size_t* slots, size_t count,
                                         double t, size_t* out) const {
-  if (count == 0) return;
-  // Software pipeline. Stage(slot) does the index half of a lookup — row
-  // pointers, hot entry, bucket estimate, out-of-range early-outs — and
-  // issues prefetches for the lines the resolve half will read (the
-  // bucket_starts_ entry and the estimated in-bucket window). Resolving
-  // slot i one iteration later gives those fetches a full lookup's worth
-  // of work to hide behind, and the staged struct carries the results
-  // forward so nothing is computed twice. Two iterations further out, the
-  // next slots' index lines themselves are hinted.
-  struct Staged {
-    const double* seq;
-    const uint32_t* starts;  // nullptr = resolved at stage time: answer is n.
-    size_t n;
-    size_t b;
-  };
-  auto stage = [&](size_t slot) {
-    size_t begin = offsets_[slot];
-    Staged s{times_.data() + begin, nullptr, offsets_[slot + 1] - begin, 0};
-    if (s.n == 0) return s;
-    const HotIndex& hot = hot_index_[slot];
-    if (t < hot.t0) {
-      s.n = 0;
-      return s;
-    }
-    if (t >= hot.last) return s;  // Whole slot counts; no line touched.
-    s.b = BucketEstimate((t - hot.t0) * hot.inv_width,
-                         NumBuckets(s.n, hot.inv_width));
-    s.starts = bucket_starts_.data() + first_bucket_[slot];
-    __builtin_prefetch(s.starts + s.b);
-    // b * kEventsPerBucket over-approximates starts[b] (buckets average
-    // kEventsPerBucket events) without waiting on the starts load; clamped
-    // by construction: b <= ceil(n/8) - 1, so b * 8 <= n - 1.
-    __builtin_prefetch(s.seq + s.b * kEventsPerBucket);
-    return s;
-  };
-  auto resolve = [&](const Staged& s) -> size_t {
-    if (s.starts == nullptr) return s.n;
-    size_t b = s.b;
-    size_t lo = s.starts[b];
-    while (lo > 0 && s.seq[lo - 1] > t) lo = s.starts[--b];
-    size_t bh = s.b;
-    size_t hi = s.starts[bh + 1];
-    while (hi < s.n && s.seq[hi] <= t) hi = s.starts[++bh + 1];
-    return lo + util::simd::CountLessEqual(s.seq + lo, hi - lo, t);
-  };
-  Staged cur = stage(slots[0]);
-  for (size_t i = 0; i + 1 < count; ++i) {
-    if (i + 2 < count) {
-      size_t s = slots[i + 2];
-      __builtin_prefetch(&hot_index_[s]);
-      __builtin_prefetch(&first_bucket_[s]);
-      __builtin_prefetch(&offsets_[s]);
-    }
-    Staged next = stage(slots[i + 1]);
-    out[i] = resolve(cur);
-    cur = next;
+  // Software pipeline: while slot i resolves, the lines slot i+1's search
+  // reads first are already in flight, and slot i+2's row pointers too.
+  for (size_t i = 0; i < count; ++i) {
+    if (i + 2 < count) __builtin_prefetch(&offsets_[slots[i + 2]]);
+    if (i + 1 < count) PrefetchSlot(slots[i + 1]);
+    out[i] = CountUpToSlot(slots[i], t);
   }
-  out[count - 1] = resolve(cur);
 }
 
 namespace {
 
 // Shared ascending-instants precondition of the batch kernels.
-void DCheckAscending(const double* times, size_t count) {
+void DCheckAscending([[maybe_unused]] const double* times, size_t count) {
   for (size_t k = 0; k + 1 < count; ++k) {
     INNET_DCHECK(times[k] <= times[k + 1]);
   }
@@ -287,9 +174,9 @@ namespace {
 
 // Adds sign * (events <= times[k]) of one slot into out[0..count): a single
 // merge pass — the cursor only ever advances because `times` is ascending.
-// Each advance is a galloped, vector-counted upper bound (util/simd.h), so
-// dense series steps cost a couple of compares and sparse ones skip whole
-// vector widths at a time.
+// Each advance gallops from the cursor to bracket the crossing, then
+// resolves the bracket with UpperBound, so dense series steps cost a couple
+// of compares and sparse ones O(log gap).
 void AccumulateSlotSeries(const FrozenTrackingForm& store, size_t slot,
                           double sign, const double* times, size_t count,
                           double* out) {
@@ -297,8 +184,18 @@ void AccumulateSlotSeries(const FrozenTrackingForm& store, size_t slot,
   size_t n = static_cast<size_t>(store.SlotEnd(slot) - seq);
   size_t cursor = 0;
   for (size_t k = 0; k < count; ++k) {
-    cursor += util::simd::CountLeadingLessEqualSorted(seq + cursor,
-                                                      n - cursor, times[k]);
+    const double t = times[k];
+    const double* p = seq + cursor;
+    size_t rest = n - cursor;
+    if (rest > 0 && p[0] <= t) {
+      // p[0] <= t: double the step until an element > t (or the end)
+      // brackets the crossing in [bound / 2 + 1, min(bound, rest)).
+      size_t bound = 1;
+      while (bound < rest && p[bound] <= t) bound <<= 1;
+      size_t lo = (bound >> 1) + 1;
+      size_t hi = bound < rest ? bound : rest;
+      cursor += lo + FrozenTrackingForm::UpperBound(p + lo, hi - lo, t);
+    }
     out[k] += sign * static_cast<double>(cursor);
   }
 }

@@ -3,26 +3,19 @@
 //
 // TrackingForm stores one std::vector<double> per (edge, direction) — ideal
 // for append-order ingestion, hostile to query scans: every CountUpTo pays
-// a virtual call, two pointer dereferences, and a full binary search over a
-// heap block that shares no cache lines with its neighbours. Freezing
-// rewrites the store into
+// a virtual call, two pointer dereferences, and a binary search over a heap
+// block that shares no cache lines with its neighbours. Freezing rewrites
+// the store into a bare CSR:
 //
-//   - ONE contiguous timestamp array (`times_`, CSR values) with
-//     per-(edge, direction) offsets (`offsets_`, CSR row pointers), and
-//   - an epoch-bucketed PREFIX-COUNT index: each slot's event span is cut
-//     into fixed-width time buckets (~kEventsPerBucket events each) and the
-//     cumulative event count at every bucket boundary is precomputed, so a
-//     lookup is one O(1) bucket computation plus a short vectorized count
-//     inside the bucket instead of a log2(n) pointer chase.
+//   - ONE contiguous timestamp array (`times_`, CSR values), slot-major, and
+//   - per-(edge, direction) row pointers (`offsets_`), the only index.
 //
-// The derived index is stored structure-of-arrays: the HOT per-slot pair
-// {t0, inv_width} (everything a probe needs to early-out or aim at its
-// bucket — four slots per cache line) lives apart from the COLD per-slot
-// bucket_starts_ offset, so the common probe touches one index line. The
-// in-bucket resolution is a branchless vector count (util/simd.h: AVX2 /
-// NEON / scalar, runtime-dispatched), and CountUpToSlots pipelines
-// software prefetches across a batch of slots so DRAM latency overlaps
-// across a boundary loop instead of serializing per edge.
+// Every read is one upper bound over one slot's sorted span (UpperBound):
+// early-outs on the span's first and last timestamp, a branchless halving
+// down to a small window, and a counting loop over that window that the
+// compiler vectorizes. CountUpToSlots prefetches the next slot's lines so
+// DRAM latency overlaps across a boundary loop instead of serializing per
+// edge.
 //
 // Counts are EXACTLY those of the source TrackingForm — integer-valued
 // doubles, so every evaluation over a frozen store is bit-identical to the
@@ -32,11 +25,10 @@
 // The free-function kernels at the bottom are the devirtualized fast paths
 // used by the query processors and runtime::BatchQueryEngine whenever the
 // store they were handed is (dynamically) a FrozenTrackingForm; see
-// docs/PERFORMANCE.md for layout diagrams and measured speedups.
+// docs/PERFORMANCE.md for the layout and measured costs.
 #ifndef INNET_FORMS_FROZEN_TRACKING_FORM_H_
 #define INNET_FORMS_FROZEN_TRACKING_FORM_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -44,20 +36,16 @@
 #include "forms/region_count.h"
 #include "forms/tracking_form.h"
 #include "graph/planar_graph.h"
-#include "util/simd.h"
 
 namespace innet::forms {
 
-/// Immutable CSR tracking store with a bucketed prefix-count time index.
-/// Build with TrackingForm::Freeze() (or the constructor) after ingestion
-/// has stopped.
 /// One epoch's worth of new crossing events in slot-major CSR layout:
 /// `times[offsets[s] .. offsets[s+1])` are the sorted-ascending new
 /// timestamps for slot s (see FrozenTrackingForm::Slot). A slot with an
 /// empty span is CLEAN — the incremental constructor reuses its previous
-/// CSR range and bucket index verbatim. Built by runtime::IngestPipeline's
-/// scatter→sort pass; kept per-epoch so the delta stays proportional to
-/// the epoch's event count, not the store size.
+/// CSR range verbatim. Built by runtime::IngestPipeline's scatter→sort
+/// pass; kept per-epoch so the delta stays proportional to the epoch's
+/// event count, not the store size.
 struct EpochDelta {
   std::vector<double> times;
   std::vector<uint64_t> offsets;  // num_slots + 1 row pointers.
@@ -66,12 +54,12 @@ struct EpochDelta {
   size_t TotalEvents() const { return times.size(); }
 };
 
+/// Immutable CSR tracking store. Build with TrackingForm::Freeze() (or the
+/// constructor) after ingestion has stopped.
 class FrozenTrackingForm : public EdgeCountStore {
  public:
-  /// Target events per time bucket; the per-slot bucket count is
-  /// ceil(n / kEventsPerBucket), so the index costs ~1/8 uint32 per stored
-  /// timestamp.
-  static constexpr size_t kEventsPerBucket = 8;
+  /// Span length at or below which UpperBound stops halving and counts.
+  static constexpr size_t kCountWindow = 16;
 
   explicit FrozenTrackingForm(const TrackingForm& source);
 
@@ -79,19 +67,18 @@ class FrozenTrackingForm : public EdgeCountStore {
   /// load, io::LoadFrozenSnapshot). `offsets` must be monotone row pointers
   /// over an even slot count with offsets.back() == times.size(), and every
   /// slot's span must be sorted ascending — CHECK-enforced, so loaders
-  /// validate before constructing. The bucket index is derived state and is
-  /// rebuilt deterministically, making the result bit-identical to the
+  /// validate before constructing. The result is bit-identical to the
   /// store the arrays were copied out of.
   FrozenTrackingForm(std::vector<double> times,
                      std::vector<uint64_t> offsets);
 
   /// Incremental re-freeze: `previous` extended by one epoch of new events.
-  /// Clean slots (no delta events) reuse the previous CSR range and bucket
-  /// index with a bulk copy; dirty slots merge the old span with the delta
-  /// span (a straight append when the epoch starts at or after the slot's
-  /// last stored timestamp) and rebuild only their own index. The result is
-  /// bit-identical to a from-scratch Freeze() of the combined stream
-  /// (tests/ingest_pipeline_test.cc pins this).
+  /// Runs of clean slots (no delta events) are one bulk copy plus a row-
+  /// pointer shift; dirty slots merge the old span with the delta span (a
+  /// straight append when the epoch starts at or after the slot's last
+  /// stored timestamp). The result is bit-identical to a from-scratch
+  /// Freeze() of the combined stream (tests/ingest_pipeline_test.cc pins
+  /// this).
   FrozenTrackingForm(const FrozenTrackingForm& previous,
                      const EpochDelta& delta);
 
@@ -119,49 +106,50 @@ class FrozenTrackingForm : public EdgeCountStore {
     return times_.data() + offsets_[slot + 1];
   }
 
+  /// Number of elements of the SORTED span [p, p+n) with value <= t, i.e.
+  /// std::upper_bound(p, p+n, t) - p; a NaN probe returns 0. Early-outs on
+  /// the first and last element (live readers probe near a slot's tail),
+  /// then halves branchlessly down to at most kCountWindow elements and
+  /// counts those with a loop the compiler vectorizes.
+  static size_t UpperBound(const double* p, size_t n, double t) {
+    if (n == 0 || !(p[0] <= t)) return 0;  // Also every NaN probe.
+    if (p[n - 1] <= t) return n;
+    // Invariant: everything before `base` is <= t, everything at or after
+    // base + n is > t.
+    const double* base = p;
+    while (n > kCountWindow) {
+      size_t half = n / 2;
+      base = base[half - 1] <= t ? base + half : base;
+      n -= half;
+    }
+    size_t count = 0;
+    for (size_t i = 0; i < n; ++i) count += base[i] <= t ? 1 : 0;
+    return static_cast<size_t>(base - p) + count;
+  }
+
   /// Devirtualized count lookup: events on `slot` with timestamp <= t.
-  /// O(1) bucket lookup plus a branchless vectorized count over the bucket
-  /// span (util/simd.h); exact (bit-identical to the source TrackingForm's
-  /// binary search) at every dispatch level.
+  /// Exact (bit-identical to the source TrackingForm's binary search).
   size_t CountUpToSlot(size_t slot, double t) const {
     size_t begin = offsets_[slot];
-    size_t n = offsets_[slot + 1] - begin;
-    if (n == 0) return 0;
-    // Both early-outs resolve on the hot entry alone — no timestamp line.
-    const HotIndex& hot = hot_index_[slot];
-    if (t < hot.t0) return 0;
-    if (t >= hot.last) return n;
-    const double* seq = times_.data() + begin;
-    // Bucket estimate. The floating-point computation may land a bucket off
-    // at exact boundaries; the bucket-granularity guard loops below restore
-    // the exact bracket, typically in zero iterations.
-    size_t nb = NumBuckets(n, hot.inv_width);
-    size_t b = BucketEstimate((t - hot.t0) * hot.inv_width, nb);
-    const uint32_t* starts = bucket_starts_.data() + first_bucket_[slot];
-    size_t lo = starts[b];
-    size_t bh = b;
-    while (lo > 0 && seq[lo - 1] > t) lo = starts[--b];
-    size_t hi = starts[bh + 1];
-    while (hi < n && seq[hi] <= t) hi = starts[++bh + 1];
-    // Every index < lo holds a value <= t and every index >= hi a value
-    // > t, so the answer is lo plus a vector count over [lo, hi).
-    return lo + util::simd::CountLessEqual(seq + lo, hi - lo, t);
+    return UpperBound(times_.data() + begin, offsets_[slot + 1] - begin, t);
   }
 
   /// Batched multi-slot lookup: out[i] = CountUpToSlot(slots[i], t), with
-  /// the next slots' index entries, bucket line, and first timestamp line
-  /// software-prefetched ~2 iterations ahead so their DRAM fetches overlap
-  /// across the batch. Callers get the most out of the pipeline by passing
-  /// slots in ascending id order (SampledGraph emits boundaries that way);
-  /// any order is correct.
+  /// the next slot's first, middle and last timestamp lines prefetched so
+  /// their cache misses overlap the current lookup. Callers get the most
+  /// out of it by passing slots in ascending id order (SampledGraph emits
+  /// boundaries that way); any order is correct.
   void CountUpToSlots(const size_t* slots, size_t count, double t,
                       size_t* out) const;
 
-  /// Hints the lines a CountUpToSlot / series walk of `slot` touches first.
+  /// Hints the lines a CountUpToSlot of `slot` reads first: the span's
+  /// first, middle and last timestamps.
   void PrefetchSlot(size_t slot) const {
-    __builtin_prefetch(&hot_index_[slot]);
-    __builtin_prefetch(&first_bucket_[slot]);
-    __builtin_prefetch(times_.data() + offsets_[slot]);
+    const double* begin = SlotBegin(slot);
+    size_t n = offsets_[slot + 1] - offsets_[slot];
+    __builtin_prefetch(begin);
+    __builtin_prefetch(begin + n / 2);
+    __builtin_prefetch(begin + (n == 0 ? 0 : n - 1));
   }
 
   /// Devirtualized per-edge count (the non-virtual twin of
@@ -170,10 +158,9 @@ class FrozenTrackingForm : public EdgeCountStore {
     return static_cast<double>(CountUpToSlot(Slot(road, forward), t));
   }
 
-  // EdgeCountStore. Provenance and storage report the PERSISTED form — the
-  // timestamp sequences, identical to the source TrackingForm — so frozen
-  // and unfrozen deployments explain and account identically (the bucket
-  // index is derived state; IndexBytes() reports its in-memory overhead).
+  // EdgeCountStore. Provenance and storage report the timestamp sequences,
+  // identical to the source TrackingForm, so frozen and unfrozen deployments
+  // explain and account identically (IndexBytes() reports the row pointers).
   StoreProvenance Provenance() const override {
     return {"exact", 0, TotalEvents()};
   }
@@ -189,59 +176,16 @@ class FrozenTrackingForm : public EdgeCountStore {
            sizeof(double);
   }
 
-  /// In-memory footprint of the derived prefix-count index.
-  size_t IndexBytes() const {
-    return bucket_starts_.size() * sizeof(uint32_t) +
-           hot_index_.size() * sizeof(HotIndex) +
-           first_bucket_.size() * sizeof(uint32_t);
-  }
+  /// In-memory footprint of the index: the CSR row-pointer array.
+  size_t IndexBytes() const { return offsets_.size() * sizeof(uint64_t); }
 
-  /// The persisted representation (snapshot save): raw CSR arrays. The
-  /// bucket index is intentionally NOT exposed — it is derived state,
-  /// rebuilt on load.
+  /// The persisted representation (snapshot save): raw CSR arrays.
   const std::vector<double>& RawTimes() const { return times_; }
   const std::vector<uint64_t>& RawOffsets() const { return offsets_; }
 
  private:
-  /// Builds the bucketed prefix-count index for one slot whose timestamp
-  /// span is already in place; appends to bucket_starts_, so callers must
-  /// index slots in ascending order.
-  void IndexSlot(size_t slot);
-
-  // SoA derived index. The hot entry is everything a probe reads before it
-  // knows which bucket line to touch — including both range bounds, so the
-  // out-of-range early-outs (below the first event, at/after the last)
-  // resolve WITHOUT touching a timestamp cache line. The bucket_starts_
-  // offset is cold (read once per in-range probe), and num_buckets is NOT
-  // stored — it is derivable (see NumBuckets).
-  struct HotIndex {
-    double t0 = 0.0;         // First event time of the slot.
-    double inv_width = 0.0;  // num_buckets / (t_last - t0); 0 if zero span.
-    double last = 0.0;       // Last event time of the slot.
-  };
-
-  /// Bucket count of a slot with `n` events (n > 0): one bucket when all
-  /// events share a timestamp (inv_width == 0), ceil(n / kEventsPerBucket)
-  /// otherwise. Matches what IndexSlot built, so it need not be stored.
-  static size_t NumBuckets(size_t n, double inv_width) {
-    return inv_width == 0.0 ? 1
-                            : (n + kEventsPerBucket - 1) / kEventsPerBucket;
-  }
-
-  /// Clamped bucket estimate from the scaled probe offset `x`; safe for
-  /// negative, oversized, and NaN x (NaN arises from +inf probes against
-  /// zero-span slots, where the single bucket 0 is always correct).
-  static size_t BucketEstimate(double x, size_t nb) {
-    if (!(x > 0.0)) return 0;
-    if (x >= static_cast<double>(nb)) return nb - 1;
-    return static_cast<size_t>(x);
-  }
-
   std::vector<double> times_;     // CSR values: all timestamps, slot-major.
   std::vector<uint64_t> offsets_; // CSR row pointers, size 2*num_edges + 1.
-  std::vector<HotIndex> hot_index_;     // Per slot (hot probe state).
-  std::vector<uint32_t> first_bucket_;  // Per slot: start into bucket_starts_.
-  std::vector<uint32_t> bucket_starts_; // Concatenated per-slot boundaries.
 };
 
 /// Fused static count (Thm 4.2) over a frozen store: one non-virtual,

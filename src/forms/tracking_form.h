@@ -40,7 +40,7 @@ class TrackingForm : public EdgeCountStore {
   size_t TotalEvents() const;
 
   /// Read-optimized snapshot for the serving hot path: contiguous CSR
-  /// timestamps plus a bucketed prefix-count index, with bit-identical
+  /// timestamps indexed by per-slot row pointers, with bit-identical
   /// counts (forms/frozen_tracking_form.h). Call after ingestion stops;
   /// later RecordTraversal calls do NOT propagate into the frozen copy.
   FrozenTrackingForm Freeze() const;

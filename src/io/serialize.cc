@@ -329,8 +329,9 @@ constexpr uint64_t kSnapshotMagic = 0x696e6e6574465a1ULL;  // "innetFZ" + v1.
 // snapshot is itself durable.
 util::Status FsyncParentDir(const std::string& path) {
   size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  std::string dir = slash == std::string::npos ? std::string(".")
+                    : slash == 0               ? std::string("/")
+                                               : path.substr(0, slash);
   int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return util::InternalError("cannot open directory: " + dir);
   int rc = ::fsync(fd);

@@ -67,7 +67,7 @@ struct FrozenSnapshotMeta {
 };
 
 /// Writes `store` (its persisted CSR form — the slot-major timestamp array
-/// and row pointers; the bucket index is derived and rebuilt on load) plus
+/// and row pointers, its only state) plus
 /// `meta`, CRC-sealed, to `path` atomically: the bytes land in `path`.tmp,
 /// are fsync'd, and are renamed over `path` only when complete — a crash
 /// mid-snapshot (crash point "snapshot:post-header") leaves at worst a

@@ -27,9 +27,8 @@ const char* BuildGitSha();
 /// Compiler id + version string (e.g. "gcc-13.2.0").
 const char* BuildCompiler();
 
-/// Active kernel dispatch level ("avx2" / "neon" / "scalar") — the level
-/// the frozen-store read path is actually running at, after the
-/// `INNET_SIMD` override and hardware detection (util/simd.h).
+/// Vector ISA the build targets ("avx2" / "neon" / "scalar"), fixed at
+/// compile time (util/simd.h).
 const char* BuildSimd();
 
 /// Registers

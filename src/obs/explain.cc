@@ -19,6 +19,13 @@ void AppendNumber(std::string* out, double value) {
   out->append(buf);
 }
 
+// Appends `value` as a JSON string literal, piece by piece (no temporaries).
+void AppendString(std::string* out, const std::string& value) {
+  out->push_back('"');
+  out->append(JsonEscape(value));
+  out->push_back('"');
+}
+
 void AppendKey(std::string* out, const char* key) {
   out->append(",\"");
   out->append(key);
@@ -28,11 +35,12 @@ void AppendKey(std::string* out, const char* key) {
 }  // namespace
 
 std::string ExplainRecord::ToJson() const {
-  std::string out = "{\"kind\":\"" + JsonEscape(kind) + "\"";
+  std::string out = "{\"kind\":";
+  AppendString(&out, kind);
   AppendKey(&out, "bound");
-  out += "\"" + JsonEscape(bound) + "\"";
+  AppendString(&out, bound);
   AppendKey(&out, "path");
-  out += "\"" + JsonEscape(path) + "\"";
+  AppendString(&out, path);
 
   AppendKey(&out, "faces");
   out += "[";
@@ -55,7 +63,7 @@ std::string ExplainRecord::ToJson() const {
   out += std::to_string(boundary_sensors);
 
   AppendKey(&out, "store");
-  out += "\"" + JsonEscape(store) + "\"";
+  AppendString(&out, store);
   AppendKey(&out, "store_modeled_events");
   out += std::to_string(store_modeled_events);
   AppendKey(&out, "store_raw_events");

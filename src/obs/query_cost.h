@@ -115,7 +115,8 @@ struct QueryCostProfile {
   /// Stored CSR timestamps under the integrated boundary (both directions
   /// of every boundary edge). Frozen stores only; 0 on virtual stores.
   uint64_t csr_timestamps = 0;
-  /// Bucket-index probes: boundary slots x evaluation instants. Frozen
+  /// Frozen-store slot lookups: boundary slots x evaluation instants. The
+  /// field keeps its historical name (digest/slowlog JSON schema). Frozen
   /// stores only.
   uint64_t bucket_probes = 0;
   /// Store generation the answer was served at (0 outside handle mode).

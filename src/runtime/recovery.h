@@ -12,8 +12,7 @@
 //
 // The result is BIT-IDENTICAL to the store an uninterrupted run published
 // at that epoch: the frozen CSR content depends only on the final per-slot
-// sorted timestamp sequences, which are invariant under epoch partitioning,
-// and the bucket index is derived deterministically from them
+// sorted timestamp sequences, which are invariant under epoch partitioning
 // (tests/recovery_test.cc proves this per crash point across a seed
 // matrix). Invalid snapshots fall back to older ones, then to full-log
 // replay — a torn snapshot can cost time, never correctness.

@@ -1,109 +1,25 @@
-// Runtime SIMD dispatch for the frozen-store read path.
+// Compile-time vector target of the build.
 //
-// The frozen CSR kernels (forms/frozen_tracking_form.h) spend their time in
-// one primitive: counting how many timestamps in a short contiguous span are
-// <= a probe time. This header resolves that primitive to the widest vector
-// unit the host actually has — AVX2 on x86-64, NEON on aarch64, a branchless
-// scalar loop everywhere else — picked once at startup via cpuid
-// (`__builtin_cpu_supports`) / `getauxval(AT_HWCAP)` and overridable with
-// the `INNET_SIMD` environment variable (`avx2`, `neon`, `scalar`, or
-// `native` for the detected best). Every path computes the IDENTICAL result:
-// the comparison `p[i] <= t` is exact in every width, so dispatch never
-// changes a count (tests/simd_test.cc pins all levels against each other).
-//
-// The active level is observable through `ActiveSimdName()` — surfaced as
-// the `simd` label on `innet_build_info` and in `/varz` (docs/
-// OBSERVABILITY.md) — and forceable per-scope in tests with ScopedSimdLevel.
+// The frozen-store kernels (forms/frozen_tracking_form.h) are plain C++
+// loops the compiler vectorizes for whatever ISA the build targets; there
+// is no runtime dispatch and no override. `ActiveSimdName()` names that
+// target for reports — the `simd` label on `innet_build_info`, `/varz`
+// (docs/OBSERVABILITY.md) and the benchmarks' machine notes.
 #ifndef INNET_UTIL_SIMD_H_
 #define INNET_UTIL_SIMD_H_
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-
 namespace innet::util::simd {
 
-enum class SimdLevel : uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-
-/// "scalar" / "avx2" / "neon".
-const char* SimdLevelName(SimdLevel level);
-
-/// Parses "scalar" / "avx2" / "neon" (case-sensitive) into `out`. "native"
-/// resolves to the detected best level. Returns false on anything else.
-bool ParseSimdLevel(const char* name, SimdLevel* out);
-
-/// Widest level this hardware supports (cpuid / hwcaps; cached).
-SimdLevel DetectedSimdLevel();
-
-/// Whether `level` can run on this hardware (kScalar always can).
-bool SimdLevelSupported(SimdLevel level);
-
-/// The level the dispatched kernels currently run at. Resolved on first use:
-/// the `INNET_SIMD` override when set and supported (unsupported or
-/// malformed values WARN once and fall back), else the detected best.
-SimdLevel ActiveSimdLevel();
-
-/// SimdLevelName(ActiveSimdLevel()).
-const char* ActiveSimdName();
-
-/// Forces the dispatched kernels to `level`. Returns false (and changes
-/// nothing) if the hardware cannot run it. Swaps one atomic function
-/// pointer — safe against concurrent readers, but intended for startup and
-/// test scopes, not steady-state toggling.
-bool SetActiveSimdLevel(SimdLevel level);
-
-/// RAII dispatch override for tests: forces `level` if supported, restores
-/// the previous level on destruction. `ok()` reports whether the force took.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : previous_(ActiveSimdLevel()), ok_(SetActiveSimdLevel(level)) {}
-  ~ScopedSimdLevel() { SetActiveSimdLevel(previous_); }
-  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
-  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
-  bool ok() const { return ok_; }
-
- private:
-  SimdLevel previous_;
-  bool ok_;
-};
-
-using CountLessEqualFn = size_t (*)(const double*, size_t, double);
-
-namespace detail {
-// Starts at a resolver trampoline that installs the active level's kernel
-// on first call; after that it is a direct pointer to the level's entry.
-extern std::atomic<CountLessEqualFn> g_count_less_equal;
-}  // namespace detail
-
-/// Number of elements of [p, p+n) with value <= t. No ordering assumption;
-/// NaN elements and NaN probes never count (IEEE ordered-compare
-/// semantics, matching the scalar `p[i] <= t`). Exact at every level.
-inline size_t CountLessEqual(const double* p, size_t n, double t) {
-  return detail::g_count_less_equal.load(std::memory_order_relaxed)(p, n, t);
-}
-
-/// Direct per-level entry, bypassing dispatch — for property tests that
-/// cross-check levels against each other. CHECK-fails if `level` is not
-/// supported on this hardware (guard with SimdLevelSupported).
-size_t CountLessEqualAt(SimdLevel level, const double* p, size_t n, double t);
-
-/// Number of leading elements of the SORTED span [p, p+n) with value <= t —
-/// equivalently std::upper_bound(p, p+n, t) - p, but computed with an
-/// exponential gallop to bracket the crossing followed by one vectorized
-/// window count, so dense series steps (small advances) cost a couple of
-/// compares and sparse ones stay O(log gap + window/width). NaN probes
-/// return 0 (nothing is <= NaN).
-inline size_t CountLeadingLessEqualSorted(const double* p, size_t n,
-                                          double t) {
-  if (n == 0 || !(p[0] <= t)) return 0;
-  if (p[n - 1] <= t) return n;
-  // p[0] <= t < p[n-1]: gallop until an element > t brackets the crossing.
-  size_t bound = 1;
-  while (bound < n && p[bound] <= t) bound <<= 1;
-  size_t lo = (bound >> 1) + 1;  // Everything below lo is known <= t.
-  size_t hi = bound < n ? bound : n;  // Everything at/after hi is > t.
-  return lo + CountLessEqual(p + lo, hi - lo, t);
+/// "avx2" when the build targets AVX2, "neon" on NEON targets, else
+/// "scalar" (the baseline ISA, e.g. SSE2 on x86-64).
+inline const char* ActiveSimdName() {
+#if defined(__AVX2__)
+  return "avx2";
+#elif defined(__ARM_NEON)
+  return "neon";
+#else
+  return "scalar";
+#endif
 }
 
 }  // namespace innet::util::simd

@@ -1,279 +1,173 @@
-// Property tests for the runtime SIMD dispatch layer (util/simd.h) and the
-// vectorized frozen-store lookups built on it: every dispatch level this
-// hardware supports must agree exactly with a scalar ground truth — and with
-// std::upper_bound — over adversarial spans (duplicate-heavy, bucket-aligned,
-// denormal, ±inf, NaN, empty, single-element).
+// Property tests for the frozen store's vectorized lookup kernel
+// (FrozenTrackingForm::UpperBound via CountUpToSlot, CountUpToSlots and the
+// series gallop) and for the compile-time vector target that reports it
+// (util/simd.h). Every kernel must agree exactly with std::upper_bound and
+// with per-instant loops over adversarial spans: duplicate plateaus, ±inf,
+// denormals, NaN, empty and single-element spans, and lengths either side
+// of the counting-window cut-off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "forms/frozen_tracking_form.h"
+#include "forms/region_count.h"
 #include "forms/tracking_form.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
-namespace innet::util::simd {
+namespace innet::forms {
 namespace {
 
-using forms::FrozenTrackingForm;
-using forms::TrackingForm;
+using graph::EdgeId;
 
-std::vector<SimdLevel> SupportedLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  for (SimdLevel l : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelSupported(l)) levels.push_back(l);
-  }
-  return levels;
+TEST(SimdTargetTest, NamesACompileTimeTarget) {
+  const char* name = util::simd::ActiveSimdName();
+  ASSERT_NE(name, nullptr);
+  EXPECT_TRUE(std::strcmp(name, "avx2") == 0 ||
+              std::strcmp(name, "neon") == 0 ||
+              std::strcmp(name, "scalar") == 0)
+      << name;
 }
 
-size_t GroundTruthCount(const std::vector<double>& v, double t) {
-  size_t count = 0;
-  for (double x : v) count += x <= t ? 1 : 0;
-  return count;
-}
-
-TEST(SimdLevelTest, ParseRoundTripsAndRejectsGarbage) {
-  SimdLevel out;
-  ASSERT_TRUE(ParseSimdLevel("scalar", &out));
-  EXPECT_EQ(out, SimdLevel::kScalar);
-  ASSERT_TRUE(ParseSimdLevel("avx2", &out));
-  EXPECT_EQ(out, SimdLevel::kAvx2);
-  ASSERT_TRUE(ParseSimdLevel("neon", &out));
-  EXPECT_EQ(out, SimdLevel::kNeon);
-  ASSERT_TRUE(ParseSimdLevel("native", &out));
-  EXPECT_EQ(out, DetectedSimdLevel());
-  EXPECT_FALSE(ParseSimdLevel("sse9", &out));
-  EXPECT_FALSE(ParseSimdLevel("", &out));
-  EXPECT_FALSE(ParseSimdLevel(nullptr, &out));
-}
-
-TEST(SimdLevelTest, ScalarAlwaysSupportedAndDetectedIsSupported) {
-  EXPECT_TRUE(SimdLevelSupported(SimdLevel::kScalar));
-  EXPECT_TRUE(SimdLevelSupported(DetectedSimdLevel()));
-}
-
-TEST(SimdLevelTest, ScopedOverrideForcesAndRestores) {
-  SimdLevel before = ActiveSimdLevel();
-  {
-    ScopedSimdLevel scoped(SimdLevel::kScalar);
-    ASSERT_TRUE(scoped.ok());
-    EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-    EXPECT_STREQ(ActiveSimdName(), "scalar");
-  }
-  EXPECT_EQ(ActiveSimdLevel(), before);
-}
-
-TEST(SimdLevelTest, UnsupportedForceIsRefused) {
-  // At most one of AVX2/NEON exists on any one machine, so the other must
-  // be refused without disturbing the active level.
-  SimdLevel before = ActiveSimdLevel();
-  for (SimdLevel l : {SimdLevel::kAvx2, SimdLevel::kNeon}) {
-    if (SimdLevelSupported(l)) continue;
-    EXPECT_FALSE(SetActiveSimdLevel(l));
-    EXPECT_EQ(ActiveSimdLevel(), before);
-  }
-}
-
-// Adversarial spans: every length across the 8/4/scalar tail boundaries,
-// duplicates, denormals, infinities, and NaN elements.
-TEST(CountLessEqualTest, AllLevelsMatchGroundTruthOnAdversarialSpans) {
-  util::Rng rng(31);
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double denorm = std::numeric_limits<double>::denorm_min();
-  for (size_t n = 0; n <= 40; ++n) {
-    for (int variant = 0; variant < 6; ++variant) {
-      std::vector<double> v(n);
-      for (double& x : v) {
-        switch (variant) {
-          case 0: x = rng.Uniform(-100.0, 100.0); break;
-          case 1: x = std::floor(rng.Uniform(0.0, 4.0)); break;  // Dup-heavy.
-          case 2: x = rng.Bernoulli(0.5) ? denorm : -denorm; break;
-          case 3: x = rng.Bernoulli(0.5) ? inf : -inf; break;
-          case 4: x = rng.Bernoulli(0.2) ? nan : rng.Uniform(-1.0, 1.0); break;
-          default: x = 42.0; break;  // All-equal.
-        }
-      }
-      for (double t : {-inf, -100.0, -denorm, 0.0, denorm, 1.5, 42.0, 100.0,
-                       inf, nan}) {
-        size_t want = GroundTruthCount(v, t);
-        for (SimdLevel level : SupportedLevels()) {
-          EXPECT_EQ(CountLessEqualAt(level, v.data(), n, t), want)
-              << "level=" << SimdLevelName(level) << " n=" << n
-              << " variant=" << variant << " t=" << t;
-        }
-      }
-    }
-  }
-}
-
-TEST(CountLeadingLessEqualSortedTest, MatchesUpperBoundOnSortedSpans) {
-  util::Rng rng(37);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                     size_t{8}, size_t{9}, size_t{64}, size_t{257}}) {
-      std::vector<double> v(n);
-      for (double& x : v) {
-        x = rng.Uniform(0.0, 50.0);
-        if (rng.Bernoulli(0.3)) x = std::floor(x);  // Duplicate runs.
-      }
-      std::sort(v.begin(), v.end());
-      std::vector<double> probes = {-inf, -1.0, 25.0, 100.0, inf,
-                                    std::numeric_limits<double>::quiet_NaN()};
-      for (double x : v) {
-        probes.push_back(x);
-        probes.push_back(std::nextafter(x, -1e30));
-        probes.push_back(std::nextafter(x, 1e30));
-      }
-      for (double t : probes) {
-        size_t want = static_cast<size_t>(
-            std::upper_bound(v.begin(), v.end(), t) - v.begin());
-        if (std::isnan(t)) want = 0;  // upper_bound is UB on NaN; we define 0.
-        ASSERT_EQ(CountLeadingLessEqualSorted(v.data(), n, t), want)
-            << "level=" << SimdLevelName(level) << " n=" << n << " t=" << t;
-      }
-    }
-  }
-}
-
-// A frozen store with slots tuned to stress the bucket index: empty,
-// single-event, duplicate-plateau (whole buckets of one value),
-// bucket-boundary-aligned integers, and dense random slots.
+// A store whose slots stress UpperBound: empty and single-event spans,
+// lengths either side of the kCountWindow cut-off (15, 16, 17, 33),
+// duplicate plateaus that straddle the halving pivots, ±inf elements,
+// denormals, and a dense random span.
 TrackingForm AdversarialForm() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
   util::Rng rng(41);
-  TrackingForm form(6);
+  TrackingForm form(7);
   // Edge 0 forward: empty (never recorded). Edge 0 backward: one event.
   form.RecordTraversal(0, false, 5.0);
-  // Edge 1: duplicate plateaus — long runs of equal timestamps spanning
-  // multiple buckets, the worst case for a forward guard walk.
+  // Edge 1: duplicate plateaus, long runs of equal timestamps.
   for (int i = 0; i < 100; ++i) form.RecordTraversal(1, true, 10.0);
   for (int i = 0; i < 100; ++i) form.RecordTraversal(1, true, 20.0);
   for (int i = 0; i < 50; ++i) form.RecordTraversal(1, false, 7.0);
-  // Edge 2: exact integers aligned with bucket boundaries.
-  for (int i = 0; i < 64; ++i) form.RecordTraversal(2, true, double(i));
-  // Edge 3: dense random.
+  // Edges 2-3: integer spans of length 15, 16, 17 and 33.
+  for (int i = 0; i < 15; ++i) form.RecordTraversal(2, true, double(i));
+  for (int i = 0; i < 16; ++i) form.RecordTraversal(2, false, double(i));
+  for (int i = 0; i < 17; ++i) form.RecordTraversal(3, true, double(i));
+  for (int i = 0; i < 33; ++i) form.RecordTraversal(3, false, double(i / 3));
+  // Edge 4: infinite elements at both ends; tiny magnitudes.
+  for (double t : {-inf, -inf, 0.0, 1.0, 2.0, inf, inf}) {
+    form.RecordTraversal(4, true, t);
+  }
+  for (double t : {-denorm, 0.0, denorm, 1e-300, 1e-100, 1.0}) {
+    form.RecordTraversal(4, false, t);
+  }
+  // Edge 5: dense random; two events far apart.
   {
     std::vector<double> ts(500);
-    for (double& t : ts) t = rng.Uniform(0.0, 1000.0);
+    for (double& t : ts) t = std::floor(rng.Uniform(0.0, 1000.0) * 4) / 4;
     std::sort(ts.begin(), ts.end());
-    for (double t : ts) form.RecordTraversal(3, true, t);
+    for (double t : ts) form.RecordTraversal(5, true, t);
   }
-  // Edge 4: tiny magnitudes including denormals.
-  {
-    std::vector<double> ts = {-std::numeric_limits<double>::denorm_min(), 0.0,
-                              std::numeric_limits<double>::denorm_min(),
-                              1e-300, 1e-100, 1.0};
-    for (double t : ts) form.RecordTraversal(4, true, t);
-  }
-  // Edge 5: two events far apart (degenerate bucket width).
-  form.RecordTraversal(5, true, 0.0);
-  form.RecordTraversal(5, true, 1e12);
+  form.RecordTraversal(5, false, 0.0);
+  form.RecordTraversal(5, false, 1e12);
+  // Edge 6: a 17-long plateau then 16 distinct values (33 total), and a
+  // 16-long plateau bracketed by single events.
+  for (int i = 0; i < 17; ++i) form.RecordTraversal(6, true, 3.0);
+  for (int i = 0; i < 16; ++i) form.RecordTraversal(6, true, 4.0 + i);
+  form.RecordTraversal(6, false, 1.0);
+  for (int i = 0; i < 16; ++i) form.RecordTraversal(6, false, 2.0);
+  form.RecordTraversal(6, false, 3.0);
   return form;
 }
 
+// Every stored value with a one-ulp nudge either side, plus ±inf and
+// far-out probes.
 std::vector<double> ProbesFor(const std::vector<double>& seq) {
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> probes = {-inf, -1e30, 1e30, inf,
-                                std::numeric_limits<double>::quiet_NaN()};
+  std::vector<double> probes = {-inf, -1e30, 1e30, inf};
   for (double t : seq) {
     probes.push_back(t);
-    probes.push_back(std::nextafter(t, -1e300));
-    probes.push_back(std::nextafter(t, 1e300));
+    probes.push_back(std::nextafter(t, -inf));
+    probes.push_back(std::nextafter(t, inf));
   }
   return probes;
 }
 
-TEST(FrozenCountUpToSlotTest, MatchesUpperBoundAtEveryDispatchLevel) {
+TEST(UpperBoundKernelTest, CountUpToSlotMatchesUpperBoundOnAdversarialSpans) {
   TrackingForm tracking = AdversarialForm();
   FrozenTrackingForm frozen = tracking.Freeze();
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    ASSERT_TRUE(scoped.ok());
-    for (graph::EdgeId e = 0; e < tracking.num_edges(); ++e) {
-      for (bool forward : {true, false}) {
-        const std::vector<double>& seq = tracking.Sequence(e, forward);
-        size_t slot = FrozenTrackingForm::Slot(e, forward);
-        for (double t : ProbesFor(seq)) {
-          size_t want = static_cast<size_t>(
-              std::upper_bound(seq.begin(), seq.end(), t) - seq.begin());
-          if (std::isnan(t)) want = 0;
-          ASSERT_EQ(frozen.CountUpToSlot(slot, t), want)
-              << "level=" << SimdLevelName(level) << " edge=" << e
-              << " fwd=" << forward << " t=" << t;
-        }
+  for (EdgeId e = 0; e < tracking.num_edges(); ++e) {
+    for (bool forward : {true, false}) {
+      const std::vector<double>& seq = tracking.Sequence(e, forward);
+      size_t slot = FrozenTrackingForm::Slot(e, forward);
+      for (double t : ProbesFor(seq)) {
+        size_t want = static_cast<size_t>(
+            std::upper_bound(seq.begin(), seq.end(), t) - seq.begin());
+        ASSERT_EQ(frozen.CountUpToSlot(slot, t), want)
+            << "edge=" << e << " fwd=" << forward << " n=" << seq.size()
+            << " t=" << t;
       }
     }
   }
 }
 
-TEST(FrozenCountUpToSlotsTest, BatchedLookupMatchesSingleSlotLookups) {
+TEST(UpperBoundKernelTest, NanProbeCountsNothing) {
+  TrackingForm tracking = AdversarialForm();
+  FrozenTrackingForm frozen = tracking.Freeze();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t slot = 0; slot < 2 * tracking.num_edges(); ++slot) {
+    EXPECT_EQ(frozen.CountUpToSlot(slot, nan), 0u) << "slot=" << slot;
+  }
+}
+
+TEST(UpperBoundKernelTest, BatchedLookupMatchesSingleSlotLookups) {
   TrackingForm tracking = AdversarialForm();
   FrozenTrackingForm frozen = tracking.Freeze();
   util::Rng rng(43);
   size_t num_slots = 2 * tracking.num_edges();
-  for (SimdLevel level : SupportedLevels()) {
-    ScopedSimdLevel scoped(level);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                         size_t{17}, size_t{300}}) {
-      std::vector<size_t> slots(count);
-      for (size_t& s : slots) s = rng.UniformIndex(num_slots);
-      for (double t : {-1.0, 9.99, 10.0, 20.0, 512.5, 1e13,
-                       std::numeric_limits<double>::infinity()}) {
-        std::vector<size_t> out(count, size_t{999});
-        frozen.CountUpToSlots(slots.data(), count, t, out.data());
-        for (size_t i = 0; i < count; ++i) {
-          ASSERT_EQ(out[i], frozen.CountUpToSlot(slots[i], t))
-              << "level=" << SimdLevelName(level) << " i=" << i << " t=" << t;
-        }
+  for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                       size_t{17}, size_t{300}}) {
+    std::vector<size_t> slots(count);
+    for (size_t& s : slots) s = rng.UniformIndex(num_slots);
+    for (double t : {-1.0, 2.0, 3.0, 9.99, 10.0, 20.0, 512.5, 1e13,
+                     std::numeric_limits<double>::infinity()}) {
+      std::vector<size_t> out(count, size_t{999});
+      frozen.CountUpToSlots(slots.data(), count, t, out.data());
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], frozen.CountUpToSlot(slots[i], t))
+            << "i=" << i << " t=" << t;
       }
     }
   }
 }
 
-// Random cross-level fuzz: large random stores, every supported level must
-// agree with scalar on random and structured probes alike.
-TEST(FrozenCountUpToSlotTest, CrossLevelFuzzAgreesWithScalar) {
-  util::Rng rng(47);
-  TrackingForm form(30);
-  for (graph::EdgeId e = 0; e < form.num_edges(); ++e) {
-    for (bool forward : {true, false}) {
-      if (rng.Bernoulli(0.2)) continue;
-      size_t n = rng.UniformIndex(400);
-      std::vector<double> ts(n);
-      for (double& t : ts) {
-        t = rng.Uniform(0.0, 1000.0);
-        if (rng.Bernoulli(0.2)) t = std::floor(t);
-      }
-      std::sort(ts.begin(), ts.end());
-      for (double t : ts) form.RecordTraversal(e, forward, t);
-    }
+// The series gallop must land where per-instant lookups do, including on
+// plateaus, infinite elements, and instants repeated back to back.
+TEST(UpperBoundKernelTest, SeriesKernelsMatchPerInstantLoopsOnAdversarialSpans) {
+  TrackingForm tracking = AdversarialForm();
+  FrozenTrackingForm frozen = tracking.Freeze();
+  const auto& virtual_store = static_cast<const EdgeCountStore&>(tracking);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<BoundaryEdge> boundary;
+  for (EdgeId e = 0; e < tracking.num_edges(); ++e) {
+    boundary.push_back({e, e % 2 == 0});
   }
-  FrozenTrackingForm frozen = form.Freeze();
-  std::vector<SimdLevel> levels = SupportedLevels();
-  for (int trial = 0; trial < 4000; ++trial) {
-    size_t slot = rng.UniformIndex(2 * form.num_edges());
-    double t = rng.Uniform(-50.0, 1050.0);
-    size_t want;
-    {
-      ScopedSimdLevel scalar(SimdLevel::kScalar);
-      want = frozen.CountUpToSlot(slot, t);
-    }
-    for (SimdLevel level : levels) {
-      ScopedSimdLevel scoped(level);
-      ASSERT_EQ(frozen.CountUpToSlot(slot, t), want)
-          << "level=" << SimdLevelName(level) << " slot=" << slot
-          << " t=" << t;
-    }
+  std::vector<double> times = {-inf, -1.0, 0.0, 2.0, 2.0, 3.0, 7.0, 10.0,
+                               10.0, 15.5, 20.0, 999.75, 1e12, inf};
+  std::vector<double> batch(times.size(), -1.0);
+  EvaluateStaticCountBatch(frozen, boundary, times.data(), times.size(),
+                           batch.data());
+  for (size_t k = 0; k < times.size(); ++k) {
+    EXPECT_EQ(batch[k], EvaluateStaticCount(virtual_store, boundary, times[k]))
+        << "static k=" << k;
+  }
+  EvaluateTransientCountBatch(frozen, boundary, 1.0, times.data(),
+                              times.size(), batch.data());
+  for (size_t k = 0; k < times.size(); ++k) {
+    EXPECT_EQ(batch[k],
+              EvaluateTransientCount(virtual_store, boundary, 1.0, times[k]))
+        << "transient k=" << k;
   }
 }
 
 }  // namespace
-}  // namespace innet::util::simd
+}  // namespace innet::forms
