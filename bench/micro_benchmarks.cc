@@ -7,11 +7,13 @@
 //   --json[=PATH]  a DETERMINISTIC kernel before/after harness instead:
 //                  times the virtual (TrackingForm) integration path against
 //                  the fused FrozenTrackingForm kernels on one fixed world,
-//                  verifies bit-identity, counts warm-path allocations, and
-//                  writes a JsonReport (default BENCH_kernels.json) whose
-//                  schema CI's bench-smoke job validates.
+//                  times region resolution, verifies bit-identity, counts
+//                  warm-path allocations, and writes a JsonReport (default
+//                  BENCH_kernels.json) whose schema CI's bench-smoke job
+//                  validates.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -476,6 +478,28 @@ int KernelReport(const util::FlagParser& flags) {
   report.Metric("series_speedup_x",
                 series_virtual_ns / std::max(series_batch_ns, 1e-9));
 
+  // Region resolution: one bound's faces (Lower/UpperBoundFaces) plus
+  // BoundaryOfFaces, averaged over both bounds and kResolveReps repetitions
+  // per query; the metric is the median over every workload query.
+  constexpr size_t kResolveReps = 200;
+  core::QueryWorkspace resolve_ws;
+  std::vector<double> resolve_per_query;
+  for (const core::RangeQuery& q : queries) {
+    resolve_per_query.push_back(TimePerCallNs(kResolveReps, 2, [&] {
+      dep.graph().LowerBoundFaces(q.junctions, resolve_ws);
+      dep.graph().BoundaryOfFaces(resolve_ws.faces, resolve_ws);
+      sink += static_cast<double>(resolve_ws.boundary_edges.size());
+      dep.graph().UpperBoundFaces(q.junctions, resolve_ws);
+      dep.graph().BoundaryOfFaces(resolve_ws.faces, resolve_ws);
+      sink += static_cast<double>(resolve_ws.boundary_edges.size());
+    }));
+  }
+  std::nth_element(resolve_per_query.begin(),
+                   resolve_per_query.begin() + resolve_per_query.size() / 2,
+                   resolve_per_query.end());
+  const double resolve_ns = resolve_per_query[resolve_per_query.size() / 2];
+  report.Metric("resolve_ns", resolve_ns);
+
   // Warm-path allocation count: after warm-up, a workspace-threaded query
   // must not touch the heap (the same invariant tests/workspace_test.cc
   // pins; reported here so the bench artifact records it per commit).
@@ -498,7 +522,7 @@ int KernelReport(const util::FlagParser& flags) {
   std::printf(
       "kernels: static %.1f -> %.1f ns (%.2fx) | transient %.1f -> %.1f ns "
       "(%.2fx) | lookup %.1f -> %.1f ns (%.2fx) | series %.2f -> %.2f "
-      "ns/step (%.2fx) | drift %g | warm allocs %.0f\n",
+      "ns/step (%.2fx) | resolve %.1f ns | drift %g | warm allocs %.0f\n",
       static_virtual_ns, static_fused_ns,
       static_virtual_ns / std::max(static_fused_ns, 1e-9),
       transient_virtual_ns, transient_fused_ns,
@@ -506,7 +530,7 @@ int KernelReport(const util::FlagParser& flags) {
       lookup_virtual_ns, lookup_fused_ns,
       lookup_virtual_ns / std::max(lookup_fused_ns, 1e-9), series_virtual_ns,
       series_batch_ns, series_virtual_ns / std::max(series_batch_ns, 1e-9),
-      drift, static_cast<double>(warm_allocs));
+      resolve_ns, drift, static_cast<double>(warm_allocs));
 
   if (drift != 0.0) {
     std::fprintf(stderr, "FAIL: fused kernels drifted from the virtual path "

@@ -14,6 +14,12 @@
 // generation. A bump is O(1); the arrays are cleared only on the (once per
 // 2^32 operations) generation wrap.
 //
+// Ordered outputs come from BITMAPS instead of sorts: SampledGraph sets one
+// bit per resolved face or boundary edge, then sweeps the touched words in
+// ascending order, emitting ids with a count-trailing-zeros and zeroing each
+// word as it reads it. Every sweep leaves its bitmap all-zero, so the
+// bitmaps need neither stamps nor clearing between queries.
+//
 // Thread safety: a workspace is mutable scratch — one thread at a time.
 // Use one workspace per worker thread (runtime::BatchQueryEngine does this
 // via LocalWorkspace()); results are independent of workspace history, so
@@ -45,16 +51,23 @@ class QueryWorkspace {
     return generation_;
   }
 
-  /// Grows the stamped domains to cover `faces` face ids, `junctions`
-  /// mobility nodes, and `sensors` dual nodes. Amortized: reallocates only
-  /// when a larger graph is seen.
-  void EnsureDomains(size_t faces, size_t junctions, size_t sensors) {
+  /// Grows the domains to cover `faces` face ids, `junctions` mobility
+  /// nodes, `sensors` dual nodes and `edges` edge ids (virtual ones
+  /// included). Amortized: reallocates only when a larger graph is seen.
+  void EnsureDomains(size_t faces, size_t junctions, size_t sensors,
+                     size_t edges) {
     if (face_stamp_.size() < faces) {
       face_stamp_.resize(faces, 0);
       face_count_.resize(faces, 0);
+      face_bits_.resize((faces + 63) / 64, 0);
     }
     if (junction_stamp_.size() < junctions) junction_stamp_.resize(junctions, 0);
     if (sensor_stamp_.size() < sensors) sensor_stamp_.resize(sensors, 0);
+    if (edge_scratch_.size() < edges) {
+      edge_bits_.resize((edges + 63) / 64, 0);
+      inward_bits_.resize((edges + 63) / 64, 0);
+      edge_scratch_.resize(edges, 0);
+    }
   }
 
   // --- Stamped marks (valid while the stamp equals NextGeneration()'s
@@ -63,6 +76,14 @@ class QueryWorkspace {
   std::vector<uint32_t>& face_count() { return face_count_; }
   std::vector<uint32_t>& junction_stamp() { return junction_stamp_; }
   std::vector<uint32_t>& sensor_stamp() { return sensor_stamp_; }
+
+  // --- Sweep bitmaps (all-zero between operations; whoever sets a bit
+  // drains its word before returning). ---
+  std::vector<uint64_t>& face_bits() { return face_bits_; }
+  std::vector<uint64_t>& edge_bits() { return edge_bits_; }
+  std::vector<uint64_t>& inward_bits() { return inward_bits_; }
+  /// One slot per edge id; holds no state between operations.
+  std::vector<uint32_t>& edge_scratch() { return edge_scratch_; }
 
   // --- Reusable result buffers. Each primitive clears (size, not
   // capacity) the buffer it fills; contents stay valid until the same
@@ -89,6 +110,10 @@ class QueryWorkspace {
   std::vector<uint32_t> face_count_;
   std::vector<uint32_t> junction_stamp_;
   std::vector<uint32_t> sensor_stamp_;
+  std::vector<uint64_t> face_bits_;
+  std::vector<uint64_t> edge_bits_;
+  std::vector<uint64_t> inward_bits_;
+  std::vector<uint32_t> edge_scratch_;
 };
 
 /// The calling thread's lazily-constructed workspace. Query paths that are

@@ -1,6 +1,8 @@
 #include "core/sampled_graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <set>
 
 #include "geometry/delaunay.h"
@@ -39,6 +41,27 @@ std::vector<std::pair<size_t, size_t>> ConnectSensors(
   }
   links.assign(unique.begin(), unique.end());
   return links;
+}
+
+// Set bits in words [lo, hi]; 0 for an empty range (lo > hi).
+size_t CountBits(const uint64_t* words, size_t lo, size_t hi) {
+  size_t count = 0;
+  for (size_t w = lo; w <= hi; ++w) count += std::popcount(words[w]);
+  return count;
+}
+
+// Calls emit(id) for every set bit of words [lo, hi] in ascending id order,
+// zeroing each word as it is read. An empty range (lo > hi) emits nothing.
+template <typename Emit>
+void DrainBits(uint64_t* words, size_t lo, size_t hi, const Emit& emit) {
+  for (size_t w = lo; w <= hi; ++w) {
+    uint64_t word = words[w];
+    words[w] = 0;
+    while (word != 0) {
+      emit(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
 }
 
 }  // namespace
@@ -101,18 +124,38 @@ void SampledGraph::ComputeFaces() {
   face_of_junction_ = std::move(labels.label);
   face_sizes_.assign(labels.count, 0);
   for (uint32_t f : face_of_junction_) ++face_sizes_[f];
-  face_gateways_.assign(labels.count, {});
-  for (graph::NodeId g : network_->gateways()) {
-    face_gateways_[face_of_junction_[g]].push_back(g);
-  }
-  // Per-face incident monitored edges for region-local boundary extraction.
-  face_edges_.assign(labels.count, {});
+
+  // Face-incidence CSR for region-local boundary extraction: count, prefix
+  // sum, then fill real edges (ascending, since monitored_edges_ is) before
+  // any gateway record, so every face lists its edges first.
   const graph::PlanarGraph& mobility = network_->mobility();
+  INNET_CHECK(network_->TotalEdgeSpace() <=
+              std::numeric_limits<uint32_t>::max() >> 1);
+  const uint32_t virtual_side = labels.count;
+  std::vector<uint32_t> cursor(labels.count + 1, 0);
   for (graph::EdgeId e : monitored_edges_) {
     uint32_t fu = face_of_junction_[mobility.Edge(e).u];
     uint32_t fv = face_of_junction_[mobility.Edge(e).v];
-    face_edges_[fu].push_back(e);
-    if (fv != fu) face_edges_[fv].push_back(e);
+    if (fu == fv) continue;
+    ++cursor[fu + 1];
+    ++cursor[fv + 1];
+  }
+  for (graph::NodeId g : network_->gateways()) {
+    ++cursor[face_of_junction_[g] + 1];
+  }
+  for (uint32_t f = 0; f < labels.count; ++f) cursor[f + 1] += cursor[f];
+  incidence_offsets_ = cursor;
+  incidences_.resize(cursor.back());
+  for (graph::EdgeId e : monitored_edges_) {
+    uint32_t fu = face_of_junction_[mobility.Edge(e).u];
+    uint32_t fv = face_of_junction_[mobility.Edge(e).v];
+    if (fu == fv) continue;
+    incidences_[cursor[fu]++] = {fv, e << 1};
+    incidences_[cursor[fv]++] = {fu, e << 1 | 1u};
+  }
+  for (graph::NodeId g : network_->gateways()) {
+    incidences_[cursor[face_of_junction_[g]]++] = {
+        virtual_side, network_->VirtualEdgeOf(g) << 1 | 1u};
   }
 }
 
@@ -163,13 +206,16 @@ void SampledGraph::ComputeStats() {
 
 void SampledGraph::LowerBoundFaces(
     const std::vector<graph::NodeId>& qr_junctions, QueryWorkspace& ws) const {
-  ws.EnsureDomains(face_sizes_.size(), face_of_junction_.size(),
-                   network_->sensing().NumNodes());
+  ws.EnsureDomains(NumFaces() + 1, face_of_junction_.size(),
+                   network_->sensing().NumNodes(),
+                   network_->TotalEdgeSpace());
   uint32_t gen = ws.NextGeneration();
-  std::vector<uint32_t>& junction_stamp = ws.junction_stamp();
-  std::vector<uint32_t>& face_stamp = ws.face_stamp();
-  std::vector<uint32_t>& face_count = ws.face_count();
-  ws.faces.clear();
+  uint32_t* junction_stamp = ws.junction_stamp().data();
+  uint32_t* face_stamp = ws.face_stamp().data();
+  uint32_t* face_count = ws.face_count().data();
+  uint64_t* face_bits = ws.face_bits().data();
+  size_t lo = ws.face_bits().size();
+  size_t hi = 0;
   // Count UNIQUE junctions per face: a duplicated junction in the query
   // must not inflate a face's hit count past its size (which would make the
   // full-coverage equality below silently reject the face).
@@ -180,17 +226,21 @@ void SampledGraph::LowerBoundFaces(
     if (face_stamp[f] != gen) {
       face_stamp[f] = gen;
       face_count[f] = 0;
-      ws.faces.push_back(f);
+      face_bits[f >> 6] |= uint64_t{1} << (f & 63);
+      lo = std::min<size_t>(lo, f >> 6);
+      hi = std::max<size_t>(hi, f >> 6);
     }
     ++face_count[f];
   }
   // Candidate faces in ascending id order (the allocating overload's output
-  // order); the candidate list is at most |Q_R| long.
-  std::sort(ws.faces.begin(), ws.faces.end());
+  // order), keeping those the query covers completely.
+  ws.faces.resize(CountBits(face_bits, lo, hi));
+  uint32_t* out = ws.faces.data();
   size_t kept = 0;
-  for (uint32_t f : ws.faces) {
-    if (face_count[f] == face_sizes_[f]) ws.faces[kept++] = f;
-  }
+  DrainBits(face_bits, lo, hi, [&](uint32_t f) {
+    out[kept] = f;
+    kept += face_count[f] == face_sizes_[f];
+  });
   ws.faces.resize(kept);
 }
 
@@ -203,19 +253,21 @@ std::vector<uint32_t> SampledGraph::LowerBoundFaces(
 
 void SampledGraph::UpperBoundFaces(
     const std::vector<graph::NodeId>& qr_junctions, QueryWorkspace& ws) const {
-  ws.EnsureDomains(face_sizes_.size(), face_of_junction_.size(),
-                   network_->sensing().NumNodes());
-  uint32_t gen = ws.NextGeneration();
-  std::vector<uint32_t>& face_stamp = ws.face_stamp();
-  ws.faces.clear();
+  ws.EnsureDomains(NumFaces() + 1, face_of_junction_.size(),
+                   network_->sensing().NumNodes(),
+                   network_->TotalEdgeSpace());
+  uint64_t* face_bits = ws.face_bits().data();
+  size_t lo = ws.face_bits().size();
+  size_t hi = 0;
   for (graph::NodeId n : qr_junctions) {
     uint32_t f = face_of_junction_[n];
-    if (face_stamp[f] != gen) {
-      face_stamp[f] = gen;
-      ws.faces.push_back(f);
-    }
+    face_bits[f >> 6] |= uint64_t{1} << (f & 63);
+    lo = std::min<size_t>(lo, f >> 6);
+    hi = std::max<size_t>(hi, f >> 6);
   }
-  std::sort(ws.faces.begin(), ws.faces.end());
+  ws.faces.resize(CountBits(face_bits, lo, hi));
+  uint32_t* out = ws.faces.data();
+  DrainBits(face_bits, lo, hi, [&](uint32_t f) { *out++ = f; });
 }
 
 std::vector<uint32_t> SampledGraph::UpperBoundFaces(
@@ -227,57 +279,79 @@ std::vector<uint32_t> SampledGraph::UpperBoundFaces(
 
 void SampledGraph::BoundaryOfFaces(const std::vector<uint32_t>& faces,
                                    QueryWorkspace& ws) const {
-  const graph::PlanarGraph& mobility = network_->mobility();
-  ws.EnsureDomains(face_sizes_.size(), face_of_junction_.size(),
-                   network_->sensing().NumNodes());
+  const graph::EdgeRecord* edge_records = network_->mobility().edges().data();
+  const graph::NodeId ext = network_->sensing().ExtNode();
+  ws.EnsureDomains(NumFaces() + 1, face_of_junction_.size(),
+                   network_->sensing().NumNodes(),
+                   network_->TotalEdgeSpace());
   uint32_t gen = ws.NextGeneration();
-  std::vector<uint32_t>& face_stamp = ws.face_stamp();
-  std::vector<uint32_t>& sensor_stamp = ws.sensor_stamp();
-  for (uint32_t f : faces) face_stamp[f] = gen;
-
-  ws.boundary_edges.clear();
-  ws.boundary_sensors.clear();
+  uint32_t* face_stamp = ws.face_stamp().data();
+  uint32_t* sensor_stamp = ws.sensor_stamp().data();
+  uint64_t* edge_bits = ws.edge_bits().data();
+  uint64_t* inward_bits = ws.inward_bits().data();
   for (uint32_t f : faces) {
-    // A boundary edge has exactly one side in the region, so it shows up in
-    // exactly one in-region face's incident list; interior edges show up
-    // twice and are rejected both times.
-    for (graph::EdgeId e : face_edges_[f]) {
-      const graph::EdgeRecord& rec = mobility.Edge(e);
-      bool u_in = face_stamp[face_of_junction_[rec.u]] == gen;
-      bool v_in = face_stamp[face_of_junction_[rec.v]] == gen;
-      if (u_in == v_in) continue;
-      ws.boundary_edges.push_back({e, /*inward_is_forward=*/v_in});
-      // The sensors holding this edge's tracking forms: its dual endpoints,
-      // deduplicated by stamp in first-encounter order.
-      if (sensor_stamp[rec.left] != gen) {
-        sensor_stamp[rec.left] = gen;
-        ws.boundary_sensors.push_back(rec.left);
-      }
-      if (sensor_stamp[rec.right] != gen) {
-        sensor_stamp[rec.right] = gen;
-        ws.boundary_sensors.push_back(rec.right);
-      }
-    }
-    // ⋆v_ext virtual edges of every gateway cell inside the region.
-    for (graph::NodeId g : face_gateways_[f]) {
-      ws.boundary_edges.push_back(
-          {network_->VirtualEdgeOf(g), /*inward_is_forward=*/true});
-      graph::NodeId ext = network_->sensing().ExtNode();
-      if (sensor_stamp[ext] != gen) {
-        sensor_stamp[ext] = gen;
-        ws.boundary_sensors.push_back(ext);
-      }
+    // A repeated face would gather its edges twice and overrun the
+    // edge-domain scratch below.
+    INNET_CHECK(face_stamp[f] != gen);
+    face_stamp[f] = gen;
+  }
+
+  // Gather the kept records. A boundary edge has exactly one side in the
+  // region, so it is kept from exactly one in-region face's records;
+  // interior edges are skipped from both sides, and virtual records face
+  // the never-stamped sentinel. The store is unconditional and the cursor
+  // advances by the keep bit, so the scan has no data-dependent branch.
+  // Kept records are distinct edges, so the gather stays within the edge
+  // domain.
+  uint32_t* kept = ws.edge_scratch().data();
+  size_t num_kept = 0;
+  for (uint32_t f : faces) {
+    const Incidence* rec = incidences_.data() + incidence_offsets_[f];
+    const Incidence* end = incidences_.data() + incidence_offsets_[f + 1];
+    for (; rec != end; ++rec) {
+      kept[num_kept] = rec->edge_inward;
+      num_kept += face_stamp[rec->other_face] != gen;
     }
   }
 
+  // The sensors holding the kept edges' tracking forms (an edge's dual
+  // endpoints, or the ext node for a ⋆v_ext virtual edge), deduplicated by
+  // stamp in first-encounter order; and the edge and inward bits.
+  ws.boundary_sensors.resize(2 * num_kept);
+  graph::NodeId* sensors = ws.boundary_sensors.data();
+  size_t num_sensors = 0;
+  auto add_sensor = [&](graph::NodeId s) {
+    sensors[num_sensors] = s;
+    num_sensors += sensor_stamp[s] != gen;
+    sensor_stamp[s] = gen;
+  };
+  size_t lo = ws.edge_bits().size();
+  size_t hi = 0;
+  for (size_t i = 0; i < num_kept; ++i) {
+    graph::EdgeId e = kept[i] >> 1;
+    if (network_->IsVirtualEdge(e)) {
+      add_sensor(ext);
+    } else {
+      add_sensor(edge_records[e].left);
+      add_sensor(edge_records[e].right);
+    }
+    edge_bits[e >> 6] |= uint64_t{1} << (e & 63);
+    inward_bits[e >> 6] |= uint64_t{kept[i] & 1u} << (e & 63);
+    lo = std::min<size_t>(lo, e >> 6);
+    hi = std::max<size_t>(hi, e >> 6);
+  }
+  ws.boundary_sensors.resize(num_sensors);
+
   // Edge-id order == CSR slot order in the frozen store, so the batched
   // boundary kernels walk times_/offsets_ monotonically and their software
-  // prefetches aim at ascending addresses. The flux sum is a total over
-  // integer-valued terms, so reordering cannot change any query result.
-  std::sort(ws.boundary_edges.begin(), ws.boundary_edges.end(),
-            [](const forms::BoundaryEdge& a, const forms::BoundaryEdge& b) {
-              return a.edge < b.edge;
-            });
+  // prefetches aim at ascending addresses.
+  ws.boundary_edges.resize(num_kept);
+  forms::BoundaryEdge* out = ws.boundary_edges.data();
+  DrainBits(edge_bits, lo, hi, [&](uint32_t e) {
+    bool inward = (inward_bits[e >> 6] >> (e & 63)) & 1u;
+    *out++ = {e, /*inward_is_forward=*/inward};
+  });
+  for (size_t w = lo; w <= hi; ++w) inward_bits[w] = 0;
 }
 
 SampledGraph::RegionBoundary SampledGraph::BoundaryOfFaces(

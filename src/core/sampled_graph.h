@@ -99,9 +99,10 @@ class SampledGraph {
       const std::vector<graph::NodeId>& qr_junctions) const;
 
   /// Allocation-free variants: the resolved faces land in `ws.faces`
-  /// (ascending face ids, identical to the allocating overloads). Scratch
-  /// marks are generation-stamped, so repeated calls through one workspace
-  /// never touch the heap once its buffers have grown to the graph.
+  /// (ascending face ids, identical to the allocating overloads). Each
+  /// candidate face sets one bit of the workspace face bitmap; a sweep of
+  /// the touched words emits them in id order and leaves the bitmap zero,
+  /// so no per-query sort runs and a warm workspace never touches the heap.
   void LowerBoundFaces(const std::vector<graph::NodeId>& qr_junctions,
                        QueryWorkspace& ws) const;
   void UpperBoundFaces(const std::vector<graph::NodeId>& qr_junctions,
@@ -119,12 +120,15 @@ class SampledGraph {
   RegionBoundary BoundaryOfFaces(const std::vector<uint32_t>& faces) const;
 
   /// Allocation-free variant: fills `ws.boundary_edges` and
-  /// `ws.boundary_sensors`. Sensors are deduplicated with stamped marks in
-  /// first-encounter order (no per-query sort); edges come back sorted by
-  /// edge id — CSR slot order in the frozen store, so the batched boundary
-  /// kernels stream it monotonically — and the allocating overload shares
-  /// this implementation, hence the same order. `faces` may alias
-  /// `ws.faces`.
+  /// `ws.boundary_sensors`. `faces` must be distinct and may alias
+  /// `ws.faces`. Order contract, shared with the allocating overload:
+  ///   - edges ascend by edge id (CSR slot order in the frozen store, so the
+  ///     batched boundary kernels stream it monotonically), produced by a
+  ///     sweep of the workspace edge bitmap rather than a sort;
+  ///   - sensors are deduplicated with stamped marks in first-encounter
+  ///     order: `faces` in the given order, and within a face its real
+  ///     edges by ascending id (left then right dual endpoint), then its
+  ///     gateways' ⋆v_ext edges (the ext node).
   void BoundaryOfFaces(const std::vector<uint32_t>& faces,
                        QueryWorkspace& ws) const;
 
@@ -144,11 +148,22 @@ class SampledGraph {
   std::vector<graph::EdgeId> monitored_edges_;
   std::vector<uint32_t> face_of_junction_;
   std::vector<size_t> face_sizes_;
-  // Monitored edges incident to each face (boundary edges appear in the
-  // lists of both adjacent faces; dangling edges once).
-  std::vector<std::vector<graph::EdgeId>> face_edges_;
-  // Gateway junctions per face (for ⋆v_ext virtual boundary edges).
-  std::vector<std::vector<graph::NodeId>> face_gateways_;
+  // Face-incidence CSR: the records of face f are
+  // incidences_[incidence_offsets_[f] .. incidence_offsets_[f + 1]). One
+  // record per (face, monitored edge whose two ends lie in different
+  // faces) in ascending edge order, then one per gateway of the face for
+  // its ⋆v_ext virtual edge. Edges inside one face are never boundary
+  // edges and get no record.
+  struct Incidence {
+    // Face on the edge's other side; NumFaces() for virtual edges, a face
+    // id BoundaryOfFaces never stamps, so those records are always kept.
+    uint32_t other_face;
+    // edge << 1 | inward, inward = this face holds the edge's v end
+    // (always 1 for virtual edges).
+    uint32_t edge_inward;
+  };
+  std::vector<uint32_t> incidence_offsets_;
+  std::vector<Incidence> incidences_;
   SampledGraphStats stats_;
 };
 

@@ -124,6 +124,97 @@ TEST_F(WorkspaceFixture, LowerBoundFacesCountsDuplicateJunctionsOnce) {
   }
 }
 
+// One resolution of `q` in both bound modes: faces, boundary edges (id and
+// direction flattened) and sensors, in output order.
+struct Resolution {
+  std::vector<uint32_t> lower, upper;
+  std::vector<uint64_t> lower_edges, upper_edges;
+  std::vector<graph::NodeId> lower_sensors, upper_sensors;
+  bool operator==(const Resolution&) const = default;
+};
+
+std::vector<uint64_t> FlattenEdges(const QueryWorkspace& ws) {
+  std::vector<uint64_t> out;
+  for (const forms::BoundaryEdge& b : ws.boundary_edges) {
+    out.push_back(uint64_t{b.edge} << 1 | (b.inward_is_forward ? 1u : 0u));
+  }
+  return out;
+}
+
+// Runs every query's resolution through `ws`; with `out` it records them.
+void Resolve(const SampledGraph& g, const std::vector<RangeQuery>& queries,
+             QueryWorkspace& ws, std::vector<Resolution>* out) {
+  for (const RangeQuery& q : queries) {
+    g.LowerBoundFaces(q.junctions, ws);
+    if (out != nullptr) out->emplace_back().lower = ws.faces;
+    g.BoundaryOfFaces(ws.faces, ws);
+    if (out != nullptr) {
+      out->back().lower_edges = FlattenEdges(ws);
+      out->back().lower_sensors = ws.boundary_sensors;
+    }
+    g.UpperBoundFaces(q.junctions, ws);
+    if (out != nullptr) out->back().upper = ws.faces;
+    g.BoundaryOfFaces(ws.faces, ws);
+    if (out != nullptr) {
+      out->back().upper_edges = FlattenEdges(ws);
+      out->back().upper_sensors = ws.boundary_sensors;
+    }
+  }
+}
+
+// One workspace alternating between a small and a large graph (small,
+// large, small) must resolve exactly as a fresh workspace does: the
+// sweeps leave the bitmaps clean and EnsureDomains grows every domain. Once
+// both graphs are warm, alternating allocates nothing.
+TEST_F(WorkspaceFixture, WorkspaceAlternatesBetweenGraphSizes) {
+  FrameworkOptions large_options = SmallOptions(6);
+  large_options.road.num_junctions = 700;
+  Framework large_world(large_options);
+  sampling::KdTreeSampler sampler;
+  util::Rng rng = large_world.ForkRng();
+  Deployment large_dep = large_world.DeployWithSampler(
+      sampler, large_world.network().NumSensors() / 3, DeploymentOptions{},
+      rng);
+  WorkloadOptions wo;
+  wo.area_fraction = 0.1;
+  wo.horizon = large_world.Horizon();
+  std::vector<RangeQuery> large_queries =
+      GenerateWorkload(large_world.network(), wo, 20, rng);
+  const SampledGraph& small = deployment_->graph();
+  const SampledGraph& large = large_dep.graph();
+  ASSERT_GT(large.NumFaces(), small.NumFaces());
+  ASSERT_GT(large_world.network().TotalEdgeSpace(),
+            framework_.network().TotalEdgeSpace() + 64);
+
+  std::vector<Resolution> small_expected, large_expected;
+  {
+    QueryWorkspace fresh;
+    Resolve(small, queries_, fresh, &small_expected);
+  }
+  {
+    QueryWorkspace fresh;
+    Resolve(large, large_queries, fresh, &large_expected);
+  }
+  QueryWorkspace ws;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<Resolution> got;
+    Resolve(small, queries_, ws, &got);
+    EXPECT_TRUE(got == small_expected) << "small graph, round " << round;
+    got.clear();
+    Resolve(large, large_queries, ws, &got);
+    EXPECT_TRUE(got == large_expected) << "large graph, round " << round;
+  }
+  std::vector<Resolution> got;
+  Resolve(small, queries_, ws, &got);
+  EXPECT_TRUE(got == small_expected) << "small graph after large";
+
+  util::AllocProbe probe;
+  Resolve(small, queries_, ws, nullptr);
+  Resolve(large, large_queries, ws, nullptr);
+  Resolve(small, queries_, ws, nullptr);
+  EXPECT_EQ(probe.Delta(), 0u);
+}
+
 TEST_F(WorkspaceFixture, UnsampledAnswersMatchWithAndWithoutWorkspace) {
   UnsampledQueryProcessor processor(framework_.network());
   QueryWorkspace ws;
