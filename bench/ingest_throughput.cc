@@ -14,7 +14,9 @@
 // The durable phase re-runs the same stream with a WAL group-commit on
 // every epoch close (docs/PERFORMANCE.md §"Durability"), reporting
 // ingest_events_per_sec_durable, durability_overhead_fraction,
-// wal_fsync_p95_micros, wal_bytes_total, and recovery_replay_events.
+// wal_fsync_p95_micros, wal_bytes_total, recovery_replay_events, and the
+// recovery time split into recovery_snapshot_seconds (snapshot load) and
+// recovery_scan_seconds (the one WAL scan).
 //
 // Flags:
 //   --tiny             small world (~120 junctions) for CI smoke runs
@@ -276,15 +278,20 @@ int Main(const util::FlagParser& flags) {
   double recovery_seconds = recovery_timer.ElapsedSeconds();
   uint64_t recovery_drift = 1;
   uint64_t recovery_replay_events = 0;
+  double recovery_snapshot_seconds = 0;
+  double recovery_scan_seconds = 0;
   if (recovered.ok()) {
     recovery_drift = CountDrift(*recovered->store, scratch_tracking);
     recovery_replay_events = recovered->replayed_events;
+    recovery_snapshot_seconds = recovered->snapshot_seconds;
+    recovery_scan_seconds = recovered->scan_seconds;
     std::printf(
-        "recovery: epoch %llu generation %llu in %.3fs | %llu events from "
-        "snapshot + %llu replayed | drift %llu probes (want 0)\n",
+        "recovery: epoch %llu generation %llu in %.3fs (snapshot %.3fs, WAL "
+        "scan %.3fs) | %llu events from snapshot + %llu replayed | drift "
+        "%llu probes (want 0)\n",
         static_cast<unsigned long long>(recovered->durable_epoch),
         static_cast<unsigned long long>(recovered->generation),
-        recovery_seconds,
+        recovery_seconds, recovery_snapshot_seconds, recovery_scan_seconds,
         static_cast<unsigned long long>(recovered->snapshot_events),
         static_cast<unsigned long long>(recovered->replayed_events),
         static_cast<unsigned long long>(recovery_drift));
@@ -293,6 +300,8 @@ int Main(const util::FlagParser& flags) {
                  recovered.status().ToString().c_str());
   }
   report.Metric("recovery_seconds", recovery_seconds);
+  report.Metric("recovery_snapshot_seconds", recovery_snapshot_seconds);
+  report.Metric("recovery_scan_seconds", recovery_scan_seconds);
   report.Metric("recovery_replay_events",
                 static_cast<double>(recovery_replay_events));
   report.Metric("recovery_drift", static_cast<double>(recovery_drift));

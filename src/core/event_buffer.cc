@@ -17,11 +17,10 @@ bool EventReorderBuffer::Push(const mobility::CrossingEvent& event) {
     ++dropped_;
     return false;
   }
-  EventKey key = EventKey::Of(event);
-  // A key present in the map is either still buffered (value 1) or was
-  // released at exactly the current watermark (value 0); both cases make
-  // `event` an exact duplicate delivery.
-  if (!pending_keys_.emplace(key, size_t{1}).second) {
+  // A key already in the set is either still buffered or was released at
+  // exactly the current watermark; both make `event` an exact duplicate
+  // delivery.
+  if (!pending_keys_.Insert(EventKey::Of(event))) {
     ++duplicates_;
     return false;
   }
@@ -45,13 +44,12 @@ void EventReorderBuffer::ReleaseTop() {
   if (event.time != watermark_) {
     // The watermark moves: duplicates of events released at the old
     // watermark are now caught by the `time < watermark_` gate instead.
-    for (const EventKey& k : released_at_watermark_) pending_keys_.erase(k);
+    for (const EventKey& k : released_at_watermark_) pending_keys_.Erase(k);
     released_at_watermark_.clear();
     watermark_ = event.time;
   }
-  EventKey key = EventKey::Of(event);
-  pending_keys_[key] = 0;
-  released_at_watermark_.push_back(key);
+  // The key stays in the set until the watermark moves past it.
+  released_at_watermark_.push_back(EventKey::Of(event));
   sink_(event);
   heap_.pop();
 }
@@ -67,11 +65,64 @@ void EventReorderBuffer::Flush() {
   // them and corrupting downstream per-edge time order.
   double close = std::max(newest_, watermark_);
   if (close > watermark_) {
-    for (const EventKey& k : released_at_watermark_) pending_keys_.erase(k);
+    for (const EventKey& k : released_at_watermark_) pending_keys_.Erase(k);
     released_at_watermark_.clear();
   }
   newest_ = close;
   watermark_ = close;
+}
+
+size_t EventReorderBuffer::KeySet::Home(const EventKey& key) const {
+  uint64_t h = key.time_bits ^ (static_cast<uint64_t>(key.edge) << 1) ^
+               static_cast<uint64_t>(key.forward);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return static_cast<size_t>(h) & (slots_.size() - 1);
+}
+
+bool EventReorderBuffer::KeySet::Insert(const EventKey& key) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  size_t mask = slots_.size() - 1;
+  size_t i = Home(key);
+  for (; slots_[i].used; i = (i + 1) & mask) {
+    if (slots_[i].SameAs(key)) return false;
+  }
+  slots_[i] = key;
+  ++size_;
+  return true;
+}
+
+void EventReorderBuffer::KeySet::Erase(const EventKey& key) {
+  size_t mask = slots_.size() - 1;
+  size_t hole = Home(key);
+  while (!slots_[hole].SameAs(key)) {
+    INNET_DCHECK(slots_[hole].used);  // Erasing a key that is absent.
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: pull later members of the probe run into the hole
+  // unless their home lies cyclically in (hole, j], where they already are
+  // reachable.
+  for (size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    size_t home = Home(slots_[j]);
+    bool stays = hole <= j ? (hole < home && home <= j)
+                           : (hole < home || home <= j);
+    if (!stays) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].used = false;
+  --size_;
+}
+
+void EventReorderBuffer::KeySet::Grow() {
+  std::vector<EventKey> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, 2 * old.size()), EventKey{});
+  size_ = 0;
+  for (const EventKey& key : old) {
+    if (key.used) Insert(key);
+  }
 }
 
 }  // namespace innet::core

@@ -11,10 +11,10 @@
 #ifndef INNET_CORE_EVENT_BUFFER_H_
 #define INNET_CORE_EVENT_BUFFER_H_
 
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "mobility/trajectory.h"
@@ -66,31 +66,45 @@ class EventReorderBuffer {
   void Release();
   void ReleaseTop();
 
-  // Dedup key: (edge, direction, exact timestamp bits).
+  // Dedup key: (edge, direction, exact timestamp bits), laid out as a
+  // 16-byte hash-table slot.
   struct EventKey {
-    graph::EdgeId edge;
-    bool forward;
-    uint64_t time_bits;
+    uint64_t time_bits = 0;
+    graph::EdgeId edge = 0;
+    bool forward = false;
+    bool used = false;  // Slot occupancy; always true for a live key.
 
     static EventKey Of(const mobility::CrossingEvent& e) {
-      uint64_t bits;
-      std::memcpy(&bits, &e.time, sizeof(bits));
-      return {e.edge, e.forward, bits};
+      EventKey key;
+      std::memcpy(&key.time_bits, &e.time, sizeof(key.time_bits));
+      key.edge = e.edge;
+      key.forward = e.forward;
+      key.used = true;
+      return key;
     }
-    bool operator==(const EventKey& o) const {
-      return edge == o.edge && forward == o.forward &&
-             time_bits == o.time_bits;
+    bool SameAs(const EventKey& o) const {
+      return time_bits == o.time_bits && edge == o.edge &&
+             forward == o.forward && used == o.used;
     }
   };
-  struct EventKeyHash {
-    size_t operator()(const EventKey& k) const {
-      uint64_t h = k.time_bits ^ (static_cast<uint64_t>(k.edge) << 1) ^
-                   static_cast<uint64_t>(k.forward);
-      h ^= h >> 33;
-      h *= 0xff51afd7ed558ccdULL;
-      h ^= h >> 33;
-      return static_cast<size_t>(h);
-    }
+
+  // Open-addressed set of EventKeys: linear probing over a power-of-two
+  // slot array, backward-shift deletion (no tombstones). It doubles at
+  // half load and never shrinks, so a buffer in steady state allocates
+  // nothing per event.
+  class KeySet {
+   public:
+    /// Adds `key`; false when it was already present.
+    bool Insert(const EventKey& key);
+    /// Removes `key`, which must be present.
+    void Erase(const EventKey& key);
+
+   private:
+    size_t Home(const EventKey& key) const;
+    void Grow();
+
+    std::vector<EventKey> slots_;
+    size_t size_ = 0;
   };
 
   double max_lateness_;
@@ -98,12 +112,12 @@ class EventReorderBuffer {
   std::priority_queue<mobility::CrossingEvent,
                       std::vector<mobility::CrossingEvent>, Later>
       heap_;
-  // Multiplicity of each distinct event currently buffered, plus (at count
-  // 0) events already released at exactly the watermark timestamp — a late
-  // duplicate of those still passes the `time < watermark_` gate.
-  std::unordered_map<EventKey, size_t, EventKeyHash> pending_keys_;
-  // Keys released at exactly the current watermark (map value 0); cleared
-  // whenever the watermark advances.
+  // Every event currently buffered, plus the events already released at
+  // exactly the watermark timestamp — a late duplicate of those still
+  // passes the `time < watermark_` gate.
+  KeySet pending_keys_;
+  // Keys released at exactly the current watermark; erased from
+  // pending_keys_ whenever the watermark advances.
   std::vector<EventKey> released_at_watermark_;
   double newest_ = -1e300;
   double watermark_ = -1e300;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,11 +33,16 @@ constexpr uint8_t kRecordCommit = 3;
 
 constexpr uint64_t kSegmentMagic = 0x696e6e657457411ULL;  // "innetWA" + v1.
 
-// Records are tiny (events: 14 bytes, commits: 33); anything near this cap
-// is a corrupt length field, rejected before allocation.
+// Records are tiny (events: 17 bytes, commits: 33); anything near this cap
+// is a corrupt length field, rejected before it is read.
 constexpr uint32_t kMaxRecordBytes = 1u << 16;
 
 constexpr size_t kFrameBytes = 2 * sizeof(uint32_t);
+
+// The scan's read buffer. Any frame fits many times over, so one refill
+// always completes the frame under the cursor.
+constexpr size_t kReadBufferBytes = 1u << 20;
+static_assert(kReadBufferBytes >= kFrameBytes + kMaxRecordBytes);
 
 struct SegmentHeaderBody {
   uint64_t magic;
@@ -44,6 +50,7 @@ struct SegmentHeaderBody {
   uint64_t first_event_index;  // Event records in all prior segments.
 };
 
+// 3 padding bytes after `forward`; writers zero them (see Append).
 struct EventBody {
   uint32_t edge;
   uint8_t forward;
@@ -57,12 +64,26 @@ struct CommitBody {
   uint64_t generation;
 };
 
+static_assert(sizeof(SegmentHeaderBody) == 24 && sizeof(EventBody) == 16 &&
+                  sizeof(CommitBody) == 32,
+              "WAL record bodies are part of the on-disk format");
+
+// One whole record, built on the stack so it reaches the segment in a
+// single fwrite.
 template <typename T>
-size_t PackPayload(uint8_t type, const T& body, uint8_t* out) {
-  out[0] = type;
-  std::memcpy(out + 1, &body, sizeof(T));
-  return 1 + sizeof(T);
-}
+struct Frame {
+  static constexpr uint32_t kPayloadBytes = 1 + sizeof(T);
+  uint8_t bytes[kFrameBytes + kPayloadBytes];
+
+  Frame(uint8_t type, const T& body) {
+    uint8_t* payload = bytes + kFrameBytes;
+    payload[0] = type;
+    std::memcpy(payload + 1, &body, sizeof(T));
+    uint32_t crc = Crc32c(payload, kPayloadBytes);
+    std::memcpy(bytes, &crc, sizeof(crc));
+    std::memcpy(bytes + sizeof(crc), &kPayloadBytes, sizeof(kPayloadBytes));
+  }
+};
 
 template <typename T>
 bool UnpackPayload(const uint8_t* payload, size_t len, T* body) {
@@ -78,14 +99,6 @@ std::string SegmentPath(const std::string& dir, uint64_t seq) {
   return dir + "/" + name;
 }
 
-// RAII stdio handle (same idiom as serialize.cc).
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
 util::Status FsyncDir(const std::string& dir) {
   int fd = ::open(dir.c_str(), O_RDONLY);
   if (fd < 0) return util::InternalError("cannot open dir for fsync: " + dir);
@@ -95,213 +108,275 @@ util::Status FsyncDir(const std::string& dir) {
   return util::Status::Ok();
 }
 
-// Segment files under `dir`, sorted by sequence number.
-struct SegmentFile {
-  uint64_t seq = 0;
-  std::string path;
-};
+util::Status MakeLogDir(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
+    return util::InvalidArgumentError("cannot create WAL dir: " + dir);
+  }
+  return util::Status::Ok();
+}
 
-util::StatusOr<std::vector<SegmentFile>> ListSegments(
-    const std::string& dir) {
+// Number of segment files under `dir`, after checking they are exactly
+// wal-1..wal-N.
+util::StatusOr<uint64_t> CountSegments(const std::string& dir) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return util::NotFoundError("cannot open log dir: " + dir);
-  std::vector<SegmentFile> segments;
+  std::vector<uint64_t> seqs;
   while (struct dirent* entry = ::readdir(d)) {
     unsigned long long seq = 0;
     int consumed = 0;
     if (std::sscanf(entry->d_name, "wal-%8llu.seg%n", &seq, &consumed) == 1 &&
         entry->d_name[consumed] == '\0') {
-      segments.push_back({seq, dir + "/" + entry->d_name});
+      seqs.push_back(seq);
     }
   }
   ::closedir(d);
-  std::sort(segments.begin(), segments.end(),
-            [](const SegmentFile& a, const SegmentFile& b) {
-              return a.seq < b.seq;
-            });
-  for (size_t i = 0; i < segments.size(); ++i) {
-    if (segments[i].seq != i + 1) {
+  std::sort(seqs.begin(), seqs.end());
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    if (seqs[i] != i + 1) {
       return util::InvalidArgumentError(
           "missing or out-of-order WAL segment under " + dir + " (want seq " +
-          std::to_string(i + 1) + ", found " +
-          std::to_string(segments[i].seq) + ")");
+          std::to_string(i + 1) + ", found " + std::to_string(seqs[i]) + ")");
     }
   }
-  return segments;
+  return static_cast<uint64_t>(seqs.size());
 }
 
-// Outcome of scanning one frame.
-enum class FrameResult { kOk, kEndOfFile, kTorn };
+// Outcome of parsing one frame.
+enum class FrameResult { kOk, kEndOfFile, kTorn, kReadError };
 
-// Reads one frame at the current position. On kTorn the stream position is
-// unspecified; callers stop consuming the segment.
-FrameResult ReadFrame(std::FILE* f, std::vector<uint8_t>* payload) {
-  uint32_t crc = 0;
-  uint32_t len = 0;
-  size_t got = std::fread(&crc, 1, sizeof(crc), f);
-  if (got == 0) return FrameResult::kEndOfFile;
-  if (got != sizeof(crc) ||
-      std::fread(&len, 1, sizeof(len), f) != sizeof(len)) {
-    return FrameResult::kTorn;
+// Reads one segment front to back: large read()s refill a reused, bounded
+// buffer and frames are parsed in place, so a record costs a CRC and a few
+// loads rather than stdio calls.
+class SegmentReader {
+ public:
+  explicit SegmentReader(std::vector<uint8_t>* buffer) : buffer_(*buffer) {}
+  ~SegmentReader() {
+    if (fd_ >= 0) ::close(fd_);
   }
-  if (len == 0 || len > kMaxRecordBytes) return FrameResult::kTorn;
-  payload->resize(len);
-  if (std::fread(payload->data(), 1, len, f) != len) {
-    return FrameResult::kTorn;
-  }
-  if (Crc32c(payload->data(), len) != crc) return FrameResult::kTorn;
-  return FrameResult::kOk;
-}
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
 
-// Full scan state shared by the tolerant reader and the writer's resume
-// path: the durable prefix plus where it physically ends.
-struct LogScan {
-  ReplayedEventLog replay;
-  bool any_commit = false;
-  uint64_t last_commit_seq = 0;     // Segment holding the last commit.
-  uint64_t last_commit_end = 0;     // Byte offset just past that commit.
-  uint64_t total_event_records = 0; // Including uncommitted ones.
-  std::vector<SegmentFile> segments;
+  bool Open(const std::string& path) {
+    fd_ = ::open(path.c_str(), O_RDONLY);
+    struct stat st;
+    if (fd_ < 0 || ::fstat(fd_, &st) != 0) return false;
+    size_ = static_cast<uint64_t>(st.st_size);
+    return true;
+  }
+
+  // Parses the frame at offset(). On kOk, `payload` points at `len` bytes
+  // in the buffer, valid until the next call; on anything else the reader
+  // is spent.
+  FrameResult Next(const uint8_t** payload, uint32_t* len) {
+    if (!Fill(kFrameBytes)) {
+      if (error_) return FrameResult::kReadError;
+      return pos_ == end_ ? FrameResult::kEndOfFile : FrameResult::kTorn;
+    }
+    uint32_t crc = 0;
+    std::memcpy(&crc, buffer_.data() + pos_, sizeof(crc));
+    std::memcpy(len, buffer_.data() + pos_ + sizeof(crc), sizeof(*len));
+    if (*len == 0 || *len > kMaxRecordBytes) return FrameResult::kTorn;
+    if (!Fill(kFrameBytes + *len)) {
+      return error_ ? FrameResult::kReadError : FrameResult::kTorn;
+    }
+    *payload = buffer_.data() + pos_ + kFrameBytes;
+    if (Crc32c(*payload, *len) != crc) return FrameResult::kTorn;
+    pos_ += kFrameBytes + *len;
+    offset_ += kFrameBytes + *len;
+    return FrameResult::kOk;
+  }
+
+  uint64_t offset() const { return offset_; }  // Start of the next frame.
+  uint64_t size() const { return size_; }      // File size at Open.
+
+ private:
+  // Makes `want` bytes readable at pos_; false at end of file or on error.
+  bool Fill(size_t want) {
+    if (end_ - pos_ >= want) return true;
+    std::memmove(buffer_.data(), buffer_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
+    pos_ = 0;
+    while (end_ < want) {
+      ssize_t got = ::read(fd_, buffer_.data() + end_, buffer_.size() - end_);
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) error_ = true;
+      if (got <= 0) return false;
+      end_ += static_cast<size_t>(got);
+    }
+    return true;
+  }
+
+  std::vector<uint8_t>& buffer_;
+  int fd_ = -1;
+  size_t pos_ = 0;  // Buffer index of offset_.
+  size_t end_ = 0;  // Buffered bytes.
+  uint64_t offset_ = 0;
+  uint64_t size_ = 0;
+  bool error_ = false;
 };
 
-util::StatusOr<LogScan> ScanLog(const std::string& dir,
-                                uint64_t skip_events) {
-  util::StatusOr<std::vector<SegmentFile>> segments = ListSegments(dir);
+// The one pass over the log shared by the tolerant reader and the writer's
+// Open. With `keep_events` false only positions and counts are collected.
+util::StatusOr<ReplayedEventLog> ScanLog(const std::string& dir,
+                                         uint64_t skip_events,
+                                         bool keep_events) {
+  util::StatusOr<uint64_t> segments = CountSegments(dir);
   if (!segments.ok()) return segments.status();
 
-  LogScan scan;
-  scan.segments = *segments;
-  std::vector<mobility::CrossingEvent> pending;  // Current (open) epoch.
-  uint64_t skipped = 0;
-  std::vector<uint8_t> payload;
+  ReplayedEventLog scan;
+  EventLogPosition& position = scan.position;
+  position.segments = *segments;
+  uint64_t event_records = 0;     // Including uncommitted ones.
+  size_t committed_kept = 0;      // scan.events.size() at the last commit.
+  std::vector<uint8_t> buffer(kReadBufferBytes);
 
-  for (size_t i = 0; i < scan.segments.size(); ++i) {
-    const SegmentFile& seg = scan.segments[i];
-    bool last_segment = i + 1 == scan.segments.size();
-    File file(std::fopen(seg.path.c_str(), "rb"));
-    if (file == nullptr) {
-      return util::NotFoundError("cannot open segment: " + seg.path);
+  for (uint64_t seq = 1; seq <= position.segments; ++seq) {
+    std::string path = SegmentPath(dir, seq);
+    bool last_segment = seq == position.segments;
+    SegmentReader reader(&buffer);
+    if (!reader.Open(path)) {
+      return util::NotFoundError("cannot open segment: " + path);
     }
-    std::FILE* f = file.get();
 
     bool saw_header = false;
     for (;;) {
-      long before = std::ftell(f);
-      FrameResult frame = ReadFrame(f, &payload);
+      uint64_t before = reader.offset();
+      const uint8_t* payload = nullptr;
+      uint32_t len = 0;
+      FrameResult frame = reader.Next(&payload, &len);
       if (frame == FrameResult::kEndOfFile) break;
+      if (frame == FrameResult::kReadError) {
+        return util::InternalError("read error in WAL segment " + path +
+                                   " at offset " + std::to_string(before));
+      }
       if (frame == FrameResult::kTorn) {
-        std::fseek(f, 0, SEEK_END);
-        uint64_t torn = static_cast<uint64_t>(std::ftell(f) - before);
+        uint64_t torn = reader.size() - before;
         if (!last_segment) {
           return util::InvalidArgumentError(
-              "corrupt record mid-log in " + seg.path + " at offset " +
+              "corrupt record mid-log in " + path + " at offset " +
               std::to_string(before) +
               " (only the final segment may have a torn tail)");
         }
-        scan.replay.torn_bytes = torn;
+        scan.torn_bytes = torn;
         INNET_LOG(WARN) << "WAL torn tail: discarding " << torn
-                        << " unparseable bytes of " << seg.path
-                        << " at offset " << before
-                        << " (recovered through epoch "
-                        << scan.replay.durable_epoch << ")";
+                        << " unparseable bytes of " << path << " at offset "
+                        << before << " (recovered through epoch "
+                        << scan.durable_epoch << ")";
         break;
       }
       uint8_t type = payload[0];
       if (!saw_header) {
         SegmentHeaderBody header;
         if (type != kRecordSegmentHeader ||
-            !UnpackPayload(payload.data(), payload.size(), &header) ||
-            header.magic != kSegmentMagic || header.seq != seg.seq ||
-            header.first_event_index != scan.total_event_records) {
-          return util::InvalidArgumentError("bad segment header: " +
-                                            seg.path);
+            !UnpackPayload(payload, len, &header) ||
+            header.magic != kSegmentMagic || header.seq != seq ||
+            header.first_event_index != event_records) {
+          return util::InvalidArgumentError("bad segment header: " + path);
         }
         saw_header = true;
         continue;
       }
       if (type == kRecordEvent) {
         EventBody body;
-        if (!UnpackPayload(payload.data(), payload.size(), &body)) {
+        if (!UnpackPayload(payload, len, &body)) {
           return util::InvalidArgumentError("malformed event record in " +
-                                            seg.path);
+                                            path);
         }
-        pending.push_back({static_cast<graph::EdgeId>(body.edge),
-                           body.forward != 0, body.time});
-        ++scan.total_event_records;
+        if (keep_events && event_records >= skip_events) {
+          scan.events.push_back({static_cast<graph::EdgeId>(body.edge),
+                                 body.forward != 0, body.time});
+        }
+        ++event_records;
       } else if (type == kRecordCommit) {
         CommitBody body;
-        if (!UnpackPayload(payload.data(), payload.size(), &body)) {
+        if (!UnpackPayload(payload, len, &body)) {
           return util::InvalidArgumentError("malformed commit record in " +
-                                            seg.path);
+                                            path);
         }
-        if (body.events_in_epoch != pending.size() ||
-            body.total_events_after != scan.total_event_records ||
-            body.epoch <= scan.replay.durable_epoch) {
+        if (body.events_in_epoch != event_records - scan.durable_events ||
+            body.total_events_after != event_records ||
+            body.epoch <= scan.durable_epoch) {
           return util::InvalidArgumentError(
-              "inconsistent commit record in " + seg.path + " (epoch " +
+              "inconsistent commit record in " + path + " (epoch " +
               std::to_string(body.epoch) + ")");
         }
-        for (const mobility::CrossingEvent& e : pending) {
-          if (skipped < skip_events) {
-            ++skipped;
-          } else {
-            scan.replay.events.push_back(e);
-          }
-        }
-        pending.clear();
-        scan.replay.commits.push_back(
+        committed_kept = scan.events.size();
+        scan.commits.push_back(
             {body.epoch, body.events_in_epoch, body.generation});
-        scan.replay.durable_events = body.total_events_after;
-        scan.replay.durable_epoch = body.epoch;
-        scan.replay.generation = body.generation;
-        scan.any_commit = true;
-        scan.last_commit_seq = seg.seq;
-        scan.last_commit_end = static_cast<uint64_t>(std::ftell(f));
+        scan.durable_events = body.total_events_after;
+        scan.durable_epoch = body.epoch;
+        scan.generation = body.generation;
+        position.commit_segment = seq;
+        position.commit_end = reader.offset();
       } else {
-        return util::InvalidArgumentError(
-            "unknown record type " + std::to_string(type) + " in " +
-            seg.path);
+        return util::InvalidArgumentError("unknown record type " +
+                                          std::to_string(type) + " in " +
+                                          path);
       }
     }
   }
 
-  scan.replay.discarded_events = pending.size();
-  if (!pending.empty()) {
-    INNET_LOG(WARN) << "WAL: discarding " << pending.size()
+  // Events past the last commit belong to an epoch that never committed.
+  scan.events.resize(committed_kept);
+  scan.discarded_events = event_records - scan.durable_events;
+  if (scan.discarded_events > 0) {
+    INNET_LOG(WARN) << "WAL: discarding " << scan.discarded_events
                     << " uncommitted event records past epoch "
-                    << scan.replay.durable_epoch
-                    << " (their epoch never committed)";
+                    << scan.durable_epoch << " (their epoch never committed)";
   }
-  if (skip_events > scan.replay.durable_events) {
+  if (skip_events > scan.durable_events) {
     return util::InvalidArgumentError(
         "snapshot covers " + std::to_string(skip_events) +
         " events but the WAL only holds " +
-        std::to_string(scan.replay.durable_events) + " durable ones");
+        std::to_string(scan.durable_events) + " durable ones");
   }
+  position.durable_events = scan.durable_events;
+  position.durable_epoch = scan.durable_epoch;
   return scan;
 }
 
+// CRC-32C lookup tables, reflected polynomial 0x82f63b78. Row 0 is the
+// classic bytewise table; row k advances a byte through k further zero
+// bytes, so eight rows fold eight input bytes per step (slicing-by-8).
+struct Crc32cTables {
+  uint32_t row[8][256];
+};
+
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
+    t.row[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t prev = t.row[k - 1][i];
+      t.row[k][i] = (prev >> 8) ^ t.row[0][prev & 0xffu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
+
 }  // namespace
 
-// CRC-32C, reflected polynomial 0x82f63b78, one 256-entry table. The
-// Castagnoli polynomial detects all torn-tail burst errors this framing
-// cares about and matches what hardware CRC32 instructions compute, should
-// a future sweep vectorize this.
+// The Castagnoli polynomial detects all torn-tail burst errors this framing
+// cares about. The 8-byte step assembles its word bytewise, so the result
+// does not depend on host byte order.
 uint32_t Crc32cExtend(uint32_t state, const void* data, size_t bytes) {
-  static const uint32_t* const kTable = [] {
-    static uint32_t table[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
+  const auto& t = kCrc32cTables.row;
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    state = kTable[(state ^ p[i]) & 0xffu] ^ (state >> 8);
+  for (; bytes >= 8; p += 8, bytes -= 8) {
+    uint32_t lo = state ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                           uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    state = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; bytes > 0; ++p, --bytes) {
+    state = t[0][(state ^ *p) & 0xffu] ^ (state >> 8);
   }
   return state;
 }
@@ -312,9 +387,7 @@ uint32_t Crc32c(const void* data, size_t bytes) {
 
 util::StatusOr<ReplayedEventLog> ReplayEventLog(const std::string& dir,
                                                 uint64_t skip_events) {
-  util::StatusOr<LogScan> scan = ScanLog(dir, skip_events);
-  if (!scan.ok()) return scan.status();
-  return std::move(scan->replay);
+  return ScanLog(dir, skip_events, /*keep_events=*/true);
 }
 
 EventLogWriter::EventLogWriter(std::string dir, EventLogOptions options)
@@ -336,36 +409,49 @@ EventLogWriter::~EventLogWriter() {
 
 util::StatusOr<std::unique_ptr<EventLogWriter>> EventLogWriter::Open(
     const std::string& dir, EventLogOptions options) {
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    return util::InvalidArgumentError("cannot create WAL dir: " + dir);
-  }
-  util::StatusOr<LogScan> scan = ScanLog(dir, 0);
+  util::Status made = MakeLogDir(dir);
+  if (!made.ok()) return made;
+  util::StatusOr<ReplayedEventLog> scan =
+      ScanLog(dir, 0, /*keep_events=*/false);
   if (!scan.ok()) return scan.status();
+  return Resume(dir, scan->position, options);
+}
 
-  std::unique_ptr<EventLogWriter> writer(
-      new EventLogWriter(dir, options));
+util::StatusOr<std::unique_ptr<EventLogWriter>> EventLogWriter::Resume(
+    const std::string& dir, const EventLogPosition& position,
+    EventLogOptions options) {
+  util::Status made = MakeLogDir(dir);
+  if (!made.ok()) return made;
+  std::unique_ptr<EventLogWriter> writer(new EventLogWriter(dir, options));
 
-  if (!scan->any_commit) {
+  if (position.commit_segment == 0) {
     // Nothing durable: whatever segments exist hold only a lost in-flight
     // epoch. Start over from segment 1.
-    for (const SegmentFile& seg : scan->segments) {
-      std::remove(seg.path.c_str());
+    for (uint64_t seq = 1; seq <= position.segments; ++seq) {
+      std::remove(SegmentPath(dir, seq).c_str());
     }
     util::Status status = writer->OpenSegment(1, 0);
     if (!status.ok()) return status;
     return writer;
   }
 
-  // Durable prefix ends inside segment last_commit_seq at last_commit_end:
-  // drop later segments wholesale, truncate the tail of that one, and
-  // resume appending to it. New epochs can then never inherit a dead
-  // epoch's events.
-  for (const SegmentFile& seg : scan->segments) {
-    if (seg.seq > scan->last_commit_seq) std::remove(seg.path.c_str());
+  // Durable prefix ends inside segment commit_segment at commit_end: drop
+  // later segments wholesale, truncate the tail of that one, and resume
+  // appending to it. New epochs can then never inherit a dead epoch's
+  // events.
+  for (uint64_t seq = position.commit_segment + 1; seq <= position.segments;
+       ++seq) {
+    std::remove(SegmentPath(dir, seq).c_str());
   }
-  std::string resume_path = SegmentPath(dir, scan->last_commit_seq);
+  std::string resume_path = SegmentPath(dir, position.commit_segment);
+  struct stat st;
+  uint64_t tail_bytes =
+      ::stat(resume_path.c_str(), &st) == 0 &&
+              static_cast<uint64_t>(st.st_size) > position.commit_end
+          ? static_cast<uint64_t>(st.st_size) - position.commit_end
+          : 0;
   if (::truncate(resume_path.c_str(),
-                 static_cast<off_t>(scan->last_commit_end)) != 0) {
+                 static_cast<off_t>(position.commit_end)) != 0) {
     return util::InternalError("cannot truncate torn WAL tail: " +
                                resume_path);
   }
@@ -373,15 +459,13 @@ util::StatusOr<std::unique_ptr<EventLogWriter>> EventLogWriter::Open(
   if (writer->segment_ == nullptr) {
     return util::InternalError("cannot reopen WAL segment: " + resume_path);
   }
-  writer->segment_seq_ = scan->last_commit_seq;
-  writer->segment_bytes_ = scan->last_commit_end;
-  writer->durable_events_ = scan->replay.durable_events;
-  writer->durable_epoch_ = scan->replay.durable_epoch;
-  if (scan->replay.discarded_events > 0 || scan->replay.torn_bytes > 0) {
-    INNET_LOG(WARN) << "WAL resume: truncated "
-                    << scan->replay.discarded_events
-                    << " uncommitted events and "
-                    << scan->replay.torn_bytes << " torn bytes from " << dir;
+  writer->segment_seq_ = position.commit_segment;
+  writer->segment_bytes_ = position.commit_end;
+  writer->durable_events_ = position.durable_events;
+  writer->durable_epoch_ = position.durable_epoch;
+  if (tail_bytes > 0) {
+    INNET_LOG(WARN) << "WAL resume: truncated " << tail_bytes
+                    << " uncommitted or torn bytes from " << resume_path;
   }
   return writer;
 }
@@ -395,40 +479,37 @@ util::Status EventLogWriter::OpenSegment(uint64_t seq,
   }
   segment_seq_ = seq;
   segment_bytes_ = 0;
-  SegmentHeaderBody header{kSegmentMagic, seq, start_offset};
-  uint8_t payload[1 + sizeof(header)];
-  size_t len = PackPayload(kRecordSegmentHeader, header, payload);
-  util::Status status = WriteRecord(payload, len);
+  Frame<SegmentHeaderBody> frame(kRecordSegmentHeader,
+                                 {kSegmentMagic, seq, start_offset});
+  util::Status status = WriteRecord(frame.bytes, sizeof(frame.bytes));
   if (!status.ok()) return status;
   // Make the new directory entry durable so recovery after a crash sees
   // the segment chain it is about to be part of.
   return FsyncDir(dir_);
 }
 
-util::Status EventLogWriter::WriteRecord(const void* payload, size_t bytes) {
-  uint32_t crc = Crc32c(payload, bytes);
-  uint32_t len = static_cast<uint32_t>(bytes);
-  bool ok = std::fwrite(&crc, 1, sizeof(crc), segment_) == sizeof(crc) &&
-            std::fwrite(&len, 1, sizeof(len), segment_) == sizeof(len) &&
-            std::fwrite(payload, 1, bytes, segment_) == bytes;
-  if (!ok) {
+util::Status EventLogWriter::WriteRecord(const uint8_t* frame, size_t bytes) {
+  if (std::fwrite(frame, 1, bytes, segment_) != bytes) {
     return util::InternalError("short write on WAL segment " +
                                SegmentPath(dir_, segment_seq_));
   }
-  uint64_t total = kFrameBytes + bytes;
-  segment_bytes_ += total;
-  bytes_written_ += total;
-  bytes_counter_->Increment(total);
+  segment_bytes_ += bytes;
+  bytes_written_ += bytes;
+  bytes_counter_->Increment(bytes);
   return util::Status::Ok();
 }
 
 util::Status EventLogWriter::Append(const mobility::CrossingEvent& event) {
   INNET_DCHECK(segment_ != nullptr);
-  EventBody body{static_cast<uint32_t>(event.edge),
-                 static_cast<uint8_t>(event.forward ? 1 : 0), event.time};
-  uint8_t payload[1 + sizeof(body)];
-  size_t len = PackPayload(kRecordEvent, body, payload);
-  util::Status status = WriteRecord(payload, len);
+  // Zero the padding too: the record's bytes and CRC must depend on the
+  // event alone.
+  EventBody body;
+  std::memset(&body, 0, sizeof(body));
+  body.edge = static_cast<uint32_t>(event.edge);
+  body.forward = event.forward ? 1 : 0;
+  body.time = event.time;
+  Frame<EventBody> frame(kRecordEvent, body);
+  util::Status status = WriteRecord(frame.bytes, sizeof(frame.bytes));
   if (!status.ok()) return status;
   ++pending_events_;
   INNET_CRASH_POINT("wal:mid-segment");
@@ -440,11 +521,10 @@ util::Status EventLogWriter::CommitEpoch(uint64_t epoch,
   INNET_DCHECK(segment_ != nullptr);
   INNET_CHECK(epoch > durable_epoch_);
   auto start = std::chrono::steady_clock::now();
-  CommitBody body{epoch, pending_events_, durable_events_ + pending_events_,
-                  generation};
-  uint8_t payload[1 + sizeof(body)];
-  size_t len = PackPayload(kRecordCommit, body, payload);
-  util::Status status = WriteRecord(payload, len);
+  Frame<CommitBody> frame(
+      kRecordCommit,
+      {epoch, pending_events_, durable_events_ + pending_events_, generation});
+  util::Status status = WriteRecord(frame.bytes, sizeof(frame.bytes));
   if (!status.ok()) return status;
   if (std::fflush(segment_) != 0) {
     return util::InternalError("fflush failed on WAL segment");

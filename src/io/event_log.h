@@ -40,8 +40,8 @@
 
 namespace innet::io {
 
-/// CRC-32C (Castagnoli, software table) over `bytes`. Exposed for the
-/// snapshot writer and for tests that hand-corrupt files.
+/// CRC-32C (Castagnoli, portable slicing-by-8 tables) over `bytes`.
+/// Exposed for the snapshot writer and for tests that hand-corrupt files.
 uint32_t Crc32c(const void* data, size_t bytes);
 
 /// Streaming form for multi-chunk payloads (the snapshot writer seals
@@ -73,6 +73,17 @@ struct EventLogCommit {
   uint64_t generation = 0;   ///< Store generation the epoch published.
 };
 
+/// Where a scanned log's durable prefix physically ends: everything a
+/// writer needs to resume appending without reading the log again
+/// (EventLogWriter::Resume).
+struct EventLogPosition {
+  uint64_t segments = 0;        ///< Segment files wal-1..wal-N on disk.
+  uint64_t commit_segment = 0;  ///< Segment of the last commit (0 = none).
+  uint64_t commit_end = 0;      ///< Byte offset just past that commit.
+  uint64_t durable_events = 0;  ///< Event records covered by commits.
+  uint64_t durable_epoch = 0;   ///< Last committed epoch id (0 = none).
+};
+
 /// Result of a tolerant replay: everything durable, nothing torn.
 struct ReplayedEventLog {
   /// Committed events in log order, AFTER skipping `skip_events` (the
@@ -86,13 +97,15 @@ struct ReplayedEventLog {
   uint64_t generation = 0;        ///< Generation of the last commit.
   uint64_t discarded_events = 0;  ///< Whole records past the last commit.
   uint64_t torn_bytes = 0;        ///< Unparseable tail bytes discarded.
+  EventLogPosition position;      ///< Where a resumed writer appends.
 };
 
-/// Reads every segment of the log under `dir`, validating CRCs. A torn or
-/// corrupt tail (half-written record, flipped bits) in the LAST segment
+/// Reads every segment of the log under `dir` in one pass through a
+/// bounded read buffer, validating CRCs. A torn or corrupt tail
+/// (half-written record, flipped bits) in the LAST segment
 /// stops the scan at the last whole record with a WARN; the same damage in
 /// an earlier segment is real corruption and fails with InvalidArgument.
-/// `skip_events` committed event records are decoded but not materialized
+/// The first `skip_events` event records are counted but not materialized
 /// (snapshot catch-up). Fails if skip_events exceeds the durable count.
 util::StatusOr<ReplayedEventLog> ReplayEventLog(const std::string& dir,
                                                 uint64_t skip_events = 0);
@@ -103,12 +116,21 @@ util::StatusOr<ReplayedEventLog> ReplayEventLog(const std::string& dir,
 class EventLogWriter {
  public:
   /// Opens `dir` (created if missing) for appending. An existing log is
-  /// scanned first: the torn/uncommitted tail is truncated away and the
-  /// writer resumes after the last commit, so recovery + resume round-trips
-  /// (tests/recovery_test.cc). Fails only on I/O errors or mid-log
+  /// scanned first (positions and counts only, no events kept), then
+  /// resumed exactly as Resume() does. Fails only on I/O errors or mid-log
   /// corruption, same contract as ReplayEventLog.
   static util::StatusOr<std::unique_ptr<EventLogWriter>> Open(
       const std::string& dir, EventLogOptions options = {});
+
+  /// Resumes `dir` at `position`, the end of a finished scan of the same,
+  /// since unchanged log (ReplayEventLog(dir).position), without reading
+  /// it again: the torn/uncommitted tail is truncated away and the writer
+  /// appends after the last commit, so recovery + resume round-trips
+  /// (tests/recovery_test.cc). A log without commits starts over at
+  /// segment 1; a missing `dir` is created.
+  static util::StatusOr<std::unique_ptr<EventLogWriter>> Resume(
+      const std::string& dir, const EventLogPosition& position,
+      EventLogOptions options = {});
 
   ~EventLogWriter();
   EventLogWriter(const EventLogWriter&) = delete;
@@ -138,7 +160,7 @@ class EventLogWriter {
 
   util::Status OpenSegment(uint64_t seq, uint64_t start_offset);
   util::Status RotateIfNeeded();
-  util::Status WriteRecord(const void* payload, size_t bytes);
+  util::Status WriteRecord(const uint8_t* frame, size_t bytes);
 
   std::string dir_;
   EventLogOptions options_;

@@ -72,8 +72,13 @@ GpsTrace SynthesizeGpsTrace(const graph::PlanarGraph& graph,
     double t1 = trajectory.times[leg + 1];
     double frac = std::clamp((t - t0) / std::max(t1 - t0, 1e-9), 0.0, 1.0);
     geometry::Point p = a + (b - a) * frac;
-    trace.points.emplace_back(p.x + rng.Normal(0.0, noise_stddev),
-                              p.y + rng.Normal(0.0, noise_stddev));
+    // std::normal_distribution requires stddev > 0: a noiseless trace
+    // takes no draws.
+    if (noise_stddev > 0.0) {
+      p.x += rng.Normal(0.0, noise_stddev);
+      p.y += rng.Normal(0.0, noise_stddev);
+    }
+    trace.points.push_back(p);
     trace.times.push_back(t);
   }
   return trace;

@@ -81,7 +81,10 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
     log_options.fsync_on_commit = durability_.fsync;
     log_options.registry = options.registry;
     util::StatusOr<std::unique_ptr<io::EventLogWriter>> writer =
-        io::EventLogWriter::Open(durability_.wal_dir, log_options);
+        options.resume_wal
+            ? io::EventLogWriter::Resume(durability_.wal_dir,
+                                         *options.resume_wal, log_options)
+            : io::EventLogWriter::Open(durability_.wal_dir, log_options);
     if (!writer.ok()) {
       INNET_LOG(ERROR) << "cannot open WAL: " << writer.status().message();
     }
@@ -92,7 +95,7 @@ IngestPipeline::IngestPipeline(size_t num_edges, IngestPipelineOptions options)
 
   if (options.resume_store != nullptr) {
     // Recovery seeding: serve the recovered store at its recovered
-    // generation; the WAL (scanned above) continues the epoch sequence.
+    // generation; the WAL (opened above) continues the epoch sequence.
     INNET_CHECK(options.resume_store->RawOffsets().size() - 1 == num_slots_);
     handle_.Restore(options.resume_store, options.resume_generation);
     generation_gauge_->Set(static_cast<double>(options.resume_generation));

@@ -42,6 +42,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +126,9 @@ struct IngestPipelineOptions {
   /// durability.wal_dir continues the recovered epoch sequence.
   std::shared_ptr<const forms::FrozenTrackingForm> resume_store;
   uint64_t resume_generation = 0;
+  /// End of the log recovery already scanned; when set, the WAL resumes
+  /// there (io::EventLogWriter::Resume) instead of scanning the log again.
+  std::optional<io::EventLogPosition> resume_wal;
   /// Metrics sink; nullptr = the process-global registry.
   obs::MetricsRegistry* registry = nullptr;
 };

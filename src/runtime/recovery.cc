@@ -10,6 +10,7 @@
 #include "io/event_log.h"
 #include "io/serialize.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace innet::runtime {
 
@@ -85,6 +86,7 @@ util::StatusOr<RecoveredState> RecoveryManager::Recover() {
 
   // Newest valid snapshot wins; an unreadable or foreign one falls back to
   // the next — a damaged snapshot costs replay time, never correctness.
+  util::Timer snapshot_timer;
   std::shared_ptr<const forms::FrozenTrackingForm> base;
   io::FrozenSnapshotMeta snapshot_meta;
   bool used_snapshot = false;
@@ -108,6 +110,9 @@ util::StatusOr<RecoveredState> RecoveryManager::Recover() {
     break;
   }
 
+  double snapshot_seconds = snapshot_timer.ElapsedSeconds();
+
+  util::Timer scan_timer;
   util::StatusOr<io::ReplayedEventLog> replay = io::ReplayEventLog(
       options_.wal_dir, used_snapshot ? snapshot_meta.covered_events : 0);
   if (!replay.ok() && used_snapshot) {
@@ -121,11 +126,14 @@ util::StatusOr<RecoveredState> RecoveryManager::Recover() {
     base = nullptr;
     replay = io::ReplayEventLog(options_.wal_dir, 0);
   }
+  double scan_seconds = scan_timer.ElapsedSeconds();
   if (!replay.ok()) {
     if (replay.status().code() == util::StatusCode::kNotFound) {
       // No log at all: recover to the state every fresh pipeline starts
       // from — the empty store at generation 1.
       RecoveredState state;
+      state.snapshot_seconds = snapshot_seconds;
+      state.scan_seconds = scan_seconds;
       forms::TrackingForm empty(options_.num_edges);
       state.store =
           std::make_shared<forms::FrozenTrackingForm>(empty.Freeze());
@@ -145,6 +153,9 @@ util::StatusOr<RecoveredState> RecoveryManager::Recover() {
   state.replayed_events = replay->events.size();
   state.snapshot_events = used_snapshot ? snapshot_meta.covered_events : 0;
   state.used_snapshot = used_snapshot;
+  state.wal_position = replay->position;
+  state.snapshot_seconds = snapshot_seconds;
+  state.scan_seconds = scan_seconds;
   if (!replay->commits.empty()) {
     state.generation = replay->generation;
   } else if (used_snapshot) {
@@ -174,6 +185,7 @@ util::StatusOr<std::unique_ptr<IngestPipeline>> RecoveryManager::Resume(
   pipeline_options.durability.wal_dir = options_.wal_dir;
   pipeline_options.resume_store = recovered->store;
   pipeline_options.resume_generation = recovered->generation;
+  pipeline_options.resume_wal = recovered->wal_position;
   if (pipeline_options.registry == nullptr) {
     pipeline_options.registry = options_.registry;
   }

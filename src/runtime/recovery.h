@@ -21,9 +21,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "forms/frozen_tracking_form.h"
+#include "io/event_log.h"
 #include "obs/metrics.h"
 #include "runtime/ingest_pipeline.h"
 #include "util/status.h"
@@ -54,6 +56,12 @@ struct RecoveredState {
   uint64_t replayed_events = 0;  ///< WAL-tail events folded past snapshot.
   uint64_t snapshot_events = 0;  ///< Events the loaded snapshot covered.
   bool used_snapshot = false;
+  /// Where the durable log ends; Resume() hands it to the pipeline's WAL
+  /// writer so the log is read once per restart. Unset when there was no
+  /// log to scan.
+  std::optional<io::EventLogPosition> wal_position;
+  double snapshot_seconds = 0;  ///< Wall time finding and loading snapshots.
+  double scan_seconds = 0;      ///< Wall time of the WAL scan.
 };
 
 class RecoveryManager {
@@ -66,7 +74,8 @@ class RecoveryManager {
   util::StatusOr<RecoveredState> Recover();
 
   /// Recover() + a pipeline resumed from the result: it serves the
-  /// recovered store immediately and appends new epochs to the same WAL.
+  /// recovered store immediately and appends new epochs to the same WAL,
+  /// resuming at the position Recover()'s scan found (no second scan).
   /// `pipeline_options.durability.wal_dir` and resume fields are filled in
   /// here; everything else (shards, backpressure, snapshot cadence,
   /// registry) is taken from the caller. When `state_out` is non-null the

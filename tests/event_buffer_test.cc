@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/event_buffer.h"
 #include "core/framework.h"
 #include "core/live_monitor.h"
@@ -247,6 +254,147 @@ TEST(EventBufferTest, LiveMonitorOverShuffledStream) {
     EXPECT_EQ(buffer.Dropped(), 0u);
     EXPECT_DOUBLE_EQ(static_cast<double>(monitor.CurrentCount()),
                      net.GroundTruthStatic(q.junctions, 1e18));
+  }
+}
+
+
+// The buffer's contract, written as plainly as possible: a vector of held
+// events, a set of keys released at the current watermark, and linear
+// scans everywhere.
+class ReferenceReorderBuffer {
+ public:
+  explicit ReferenceReorderBuffer(double max_lateness)
+      : max_lateness_(max_lateness) {}
+
+  bool Push(const CrossingEvent& e) {
+    if (e.time < watermark_) {
+      ++dropped_;
+      return false;
+    }
+    bool held = std::any_of(held_.begin(), held_.end(),
+                            [&](const CrossingEvent& h) { return Same(h, e); });
+    if (held || (e.time == watermark_ && released_at_watermark_.count(Key(e)))) {
+      ++duplicates_;
+      return false;
+    }
+    held_.push_back(e);
+    newest_ = std::max(newest_, e.time);
+    ReleaseUpTo(newest_ - max_lateness_);
+    return true;
+  }
+
+  void Flush() {
+    ReleaseUpTo(std::numeric_limits<double>::infinity());
+    double close = std::max(newest_, watermark_);
+    if (close > watermark_) released_at_watermark_.clear();
+    newest_ = watermark_ = close;
+  }
+
+  std::vector<CrossingEvent> out;
+  size_t Pending() const { return held_.size(); }
+  size_t Dropped() const { return dropped_; }
+  size_t Duplicates() const { return duplicates_; }
+  double Watermark() const { return watermark_; }
+
+ private:
+  using EventTuple = std::tuple<graph::EdgeId, bool, double>;
+  static EventTuple Key(const CrossingEvent& e) {
+    return {e.edge, e.forward, e.time};
+  }
+  static bool Same(const CrossingEvent& a, const CrossingEvent& b) {
+    return Key(a) == Key(b);
+  }
+
+  void ReleaseUpTo(double safe) {
+    for (;;) {
+      auto it = std::min_element(
+          held_.begin(), held_.end(),
+          [](const CrossingEvent& a, const CrossingEvent& b) {
+            return a.time < b.time;
+          });
+      if (it == held_.end() || it->time > safe) return;
+      if (it->time != watermark_) {
+        released_at_watermark_.clear();
+        watermark_ = it->time;
+      }
+      released_at_watermark_.insert(Key(*it));
+      out.push_back(*it);
+      held_.erase(it);
+    }
+  }
+
+  double max_lateness_;
+  std::vector<CrossingEvent> held_;
+  std::set<EventTuple> released_at_watermark_;
+  double newest_ = -1e300;
+  double watermark_ = -1e300;
+  size_t dropped_ = 0;
+  size_t duplicates_ = 0;
+};
+
+// Events released by one step, in a canonical order: equal-timestamp
+// events may leave the heap in any order.
+std::vector<std::tuple<double, graph::EdgeId, bool>> Canonical(
+    const std::vector<CrossingEvent>& events, size_t from) {
+  std::vector<std::tuple<double, graph::EdgeId, bool>> keys;
+  for (size_t i = from; i < events.size(); ++i) {
+    keys.emplace_back(events[i].time, events[i].edge, events[i].forward);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Seeded random streams on a coarse time grid, so equal timestamps, exact
+// duplicates (fresh and long after release), late events and Flush() reuse
+// all happen often; every step must agree with the reference model.
+TEST(EventBufferTest, MatchesReferenceModelOnRandomStreams) {
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    util::Rng rng(seed);
+    double lateness = std::vector<double>{0.0, 1.0, 3.5, 40.0}[seed % 4];
+    std::vector<CrossingEvent> out;
+    EventReorderBuffer buffer(lateness,
+                              [&](const CrossingEvent& e) { out.push_back(e); });
+    ReferenceReorderBuffer reference(lateness);
+    std::vector<CrossingEvent> sent;
+    double now = 0.0;
+    for (int step = 0; step < 6000; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      size_t out_before = out.size();
+      size_t ref_before = reference.out.size();
+      if (rng.Bernoulli(0.005)) {
+        buffer.Flush();
+        reference.Flush();
+      } else {
+        CrossingEvent e;
+        if (!sent.empty() && rng.Bernoulli(0.2)) {
+          e = sent[sent.size() - 1 - rng.UniformIndex(
+                                         std::min<size_t>(sent.size(), 300))];
+        } else {
+          now += 0.5 * static_cast<double>(rng.UniformIndex(3));
+          double back = 0.5 * static_cast<double>(
+                                   rng.UniformIndex(rng.Bernoulli(0.1) ? 200 : 8));
+          e = {static_cast<graph::EdgeId>(rng.UniformIndex(4)),
+               rng.Bernoulli(0.5), std::max(0.0, now - back)};
+        }
+        sent.push_back(e);
+        ASSERT_EQ(buffer.Push(e), reference.Push(e));
+      }
+      ASSERT_EQ(buffer.Pending(), reference.Pending());
+      ASSERT_EQ(buffer.Dropped(), reference.Dropped());
+      ASSERT_EQ(buffer.Duplicates(), reference.Duplicates());
+      ASSERT_EQ(buffer.Watermark(), reference.Watermark());
+      ASSERT_EQ(Canonical(out, out_before),
+                Canonical(reference.out, ref_before));
+    }
+    buffer.Flush();
+    reference.Flush();
+    ASSERT_EQ(Canonical(out, 0), Canonical(reference.out, 0));
+    for (size_t i = 1; i < out.size(); ++i) {
+      ASSERT_LE(out[i - 1].time, out[i].time) << "seed " << seed;
+    }
+    EXPECT_GT(buffer.Duplicates(), 0u) << "seed " << seed;
+    EXPECT_GT(buffer.Dropped(), 0u) << "seed " << seed;
   }
 }
 

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "forms/frozen_tracking_form.h"
@@ -112,6 +114,37 @@ TEST(Crc32cTest, KnownVectorAndStreamingEquivalence) {
   s = Crc32cExtend(s, digits, 4);
   s = Crc32cExtend(s, digits + 4, 5);
   EXPECT_EQ(Crc32cFinish(s), 0xe3069283u);
+}
+
+// Bit-at-a-time CRC-32C: the definition, independent of any table.
+uint32_t BitwiseCrc32c(const uint8_t* p, size_t n) {
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32cTest, SlicingBy8MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  util::Rng rng(7);
+  std::vector<uint8_t> bytes(257 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformIndex(256));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const uint8_t* p = bytes.data() + align;
+      uint32_t want = BitwiseCrc32c(p, len);
+      ASSERT_EQ(Crc32c(p, len), want) << "align " << align << " len " << len;
+      // Every split point: the stream state carries across chunks whatever
+      // their lengths and alignments.
+      for (size_t cut = 0; cut <= len; ++cut) {
+        uint32_t s = Crc32cExtend(kCrc32cInit, p, cut);
+        s = Crc32cExtend(s, p + cut, len - cut);
+        ASSERT_EQ(Crc32cFinish(s), want)
+            << "align " << align << " len " << len << " cut " << cut;
+      }
+    }
+  }
 }
 
 // ---- basic log behavior ---------------------------------------------------
@@ -244,6 +277,190 @@ TEST(EventLogTest, FreshLogAfterNoCommitStartsOver) {
   ASSERT_TRUE(replay.ok());
   ASSERT_EQ(replay->events.size(), 1u);
   EXPECT_EQ(replay->events[0].edge, 2u);
+}
+
+// ---- on-disk format -------------------------------------------------------
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes(std::filesystem::file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return {};
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+// Every file under `dir` by name, with its bytes.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> DirBytes(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.emplace_back(entry.path().filename().string(),
+                       FileBytes(entry.path().string()));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// The whole segment for one event (edge 5, forward, t = 1.5) committed as
+// epoch 1 / generation 2. Each frame is [crc32c][len][type][body], host
+// little-endian; the event body is u32 edge, u8 forward, 3 zero padding
+// bytes, f64 time.
+TEST(EventLogTest, GoldenBytesPinTheFormat) {
+  const std::vector<uint8_t> header = {
+      0x94, 0x5a, 0x5b, 0x56, 0x19, 0x00, 0x00, 0x00, 0x01, 0x11, 0x74, 0x45,
+      0x57, 0xe6, 0xe6, 0x96, 0x06, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  const std::vector<uint8_t> event = {
+      0x21, 0xf6, 0x23, 0xd7, 0x11, 0x00, 0x00, 0x00, 0x02, 0x05, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8,
+      0x3f,
+  };
+  const std::vector<uint8_t> commit = {
+      0x7d, 0xc7, 0x88, 0x92, 0x21, 0x00, 0x00, 0x00, 0x03, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00,
+  };
+  TempDir dir;
+  {
+    auto writer = EventLogWriter::Open(dir.path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->Append(Event(5, true, 1.5)).ok());
+    ASSERT_TRUE((*writer)->CommitEpoch(1, 2).ok());
+    EXPECT_EQ((*writer)->BytesWritten(),
+              header.size() + event.size() + commit.size());
+  }
+  std::vector<uint8_t> want = header;
+  want.insert(want.end(), event.begin(), event.end());
+  want.insert(want.end(), commit.begin(), commit.end());
+  EXPECT_EQ(FileBytes(dir.path + "/wal-00000001.seg"), want);
+
+  // And the reader accepts the pinned bytes.
+  auto replay = ReplayEventLog(dir.path);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  ExpectSameEvents(replay->events, {Event(5, true, 1.5)});
+  EXPECT_EQ(replay->generation, 2u);
+}
+
+// Padding and all, a record's bytes depend only on what was appended.
+TEST(EventLogTest, SameStreamWritesIdenticalBytes) {
+  EventLogOptions options;
+  options.segment_bytes = 256;  // Several segments.
+  options.fsync_on_commit = false;
+  util::Rng rng(21);
+  std::vector<CrossingEvent> stream;
+  for (int i = 0; i < 60; ++i) {
+    stream.push_back(Event(static_cast<uint32_t>(rng.UniformIndex(50)),
+                           rng.Bernoulli(0.5), rng.Uniform(0.0, 100.0)));
+  }
+  TempDir a, b;
+  for (const std::string& path : {a.path, b.path}) {
+    auto writer = EventLogWriter::Open(path, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE((*writer)->Append(stream[i]).ok());
+      if (i % 7 == 6) {
+        ASSERT_TRUE((*writer)->CommitEpoch(i / 7 + 1, i / 7 + 2).ok());
+      }
+    }
+  }
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> files =
+      DirBytes(a.path);
+  EXPECT_GE(files.size(), 3u);
+  EXPECT_EQ(files, DirBytes(b.path));
+}
+
+// Resuming at a scan's position is the same as Open(), which scans itself:
+// same durable counts, same truncation, same append position — checked by
+// appending one more epoch through each and comparing every byte.
+TEST(EventLogTest, ResumeAtScannedPositionMatchesOpen) {
+  EventLogOptions options;
+  options.segment_bytes = 128;
+  options.fsync_on_commit = false;
+  auto commit_epochs = [&](const std::string& path, uint64_t epochs) {
+    auto writer = EventLogWriter::Open(path, options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (uint64_t epoch = 1; epoch <= epochs; ++epoch) {
+      for (uint32_t i = 0; i < 3; ++i) {
+        ASSERT_TRUE((*writer)
+                        ->Append(Event(i, epoch % 2 == 0,
+                                       static_cast<double>(10 * epoch + i)))
+                        .ok());
+      }
+      ASSERT_TRUE((*writer)->CommitEpoch(epoch, epoch + 1).ok());
+    }
+  };
+  auto append_uncommitted = [&](const std::string& path) {
+    auto writer = EventLogWriter::Open(path, options);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Append(Event(9, true, 500.0)).ok());
+    ASSERT_TRUE((*writer)->Append(Event(9, false, 501.0)).ok());
+  };
+  auto last_segment = [](const std::string& path) {
+    std::string last;
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      last = std::max(last, entry.path().string());
+    }
+    return last;
+  };
+
+  struct Case {
+    const char* name;
+    std::function<void(const std::string&)> build;
+  };
+  const std::vector<Case> cases = {
+      // Rotation leaves a header-only segment after the last commit.
+      {"clean", [&](const std::string& p) { commit_epochs(p, 5); }},
+      {"uncommitted tail",
+       [&](const std::string& p) {
+         commit_epochs(p, 5);
+         append_uncommitted(p);
+       }},
+      {"torn tail",
+       [&](const std::string& p) {
+         commit_epochs(p, 5);
+         append_uncommitted(p);
+         std::string seg = last_segment(p);
+         std::filesystem::resize_file(seg,
+                                      std::filesystem::file_size(seg) - 3);
+       }},
+      {"no commit at all", [&](const std::string& p) { append_uncommitted(p); }},
+      {"empty directory", [](const std::string&) {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempDir opened, resumed;
+    c.build(opened.path);
+    c.build(resumed.path);
+    ASSERT_EQ(DirBytes(opened.path), DirBytes(resumed.path));
+
+    ScopedLogCapture capture;
+    auto scan = ReplayEventLog(resumed.path);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    auto a = EventLogWriter::Open(opened.path, options);
+    auto b = EventLogWriter::Resume(resumed.path, scan->position, options);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ((*a)->DurableEvents(), (*b)->DurableEvents());
+    EXPECT_EQ((*a)->DurableEpoch(), (*b)->DurableEpoch());
+    EXPECT_EQ((*b)->DurableEvents(), scan->durable_events);
+    uint64_t next = (*b)->DurableEpoch() + 1;
+    for (auto* writer : {a->get(), b->get()}) {
+      ASSERT_TRUE(writer->Append(Event(3, true, 900.0)).ok());
+      ASSERT_TRUE(writer->CommitEpoch(next, next + 1).ok());
+    }
+    a->reset();
+    b->reset();
+    EXPECT_EQ(DirBytes(opened.path), DirBytes(resumed.path));
+    auto after = ReplayEventLog(resumed.path);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after->durable_epoch, next);
+    EXPECT_EQ(after->discarded_events, 0u);
+    EXPECT_EQ(after->torn_bytes, 0u);
+  }
 }
 
 // ---- torn-write matrix ----------------------------------------------------

@@ -11,8 +11,11 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/framework.h"
@@ -21,6 +24,7 @@
 #include "faults/crash_points.h"
 #include "forms/frozen_tracking_form.h"
 #include "forms/tracking_form.h"
+#include "io/event_log.h"
 #include "runtime/ingest_pipeline.h"
 #include "runtime/recovery.h"
 #include "sampling/samplers.h"
@@ -128,6 +132,20 @@ void ExpectRecoversDurablePrefix(const std::string& wal_dir,
   }
   SCOPED_TRACE(context);
   ExpectBitIdentical(*state->store, prefix);
+}
+
+// Every file under `dir` by name, with its bytes.
+std::vector<std::pair<std::string, std::string>> DirFiles(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files.emplace_back(entry.path().filename().string(),
+                       std::string(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 // ---- crash-point registry -------------------------------------------------
@@ -368,6 +386,122 @@ TEST(RecoveryTest, ResumeContinuesStreamAndStaysDurable) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->durable_events, stream.size());
   ExpectBitIdentical(*again->store, reference);
+}
+
+// Resume() hands Recover()'s scan position to the pipeline's WAL writer
+// instead of scanning again. Over a snapshot-plus-tail log with a torn
+// tail, it must land exactly where Recover() + a standalone Open() does:
+// same store, generation and durable counts, and the next epoch appended
+// at the same byte.
+TEST(RecoveryTest, ResumeMatchesRecoverThenStandaloneOpen) {
+  std::vector<CrossingEvent> stream = RandomStream(76, kNumEdges, 1000);
+  TempDir source;
+  DurableIngestRun(source.path, stream, /*snapshot_every=*/3);
+  {
+    // An uncommitted record and a torn one for both writers to truncate.
+    auto writer = io::EventLogWriter::Open(source.path);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->Append(stream[0]).ok());
+    ASSERT_TRUE((*writer)->Append(stream[1]).ok());
+  }
+  std::string segment = source.path + "/wal-00000001.seg";
+  std::filesystem::resize_file(segment,
+                               std::filesystem::file_size(segment) - 3);
+  TempDir resumed, reopened;
+  for (const std::string& path : {resumed.path, reopened.path}) {
+    std::filesystem::copy(source.path, path,
+                          std::filesystem::copy_options::recursive);
+  }
+  RecoveryOptions options;
+  options.num_edges = kNumEdges;
+  std::vector<CrossingEvent> tail = RandomStream(77, kNumEdges, 50);
+  auto ingest_tail = [&](IngestPipeline& pipeline) {
+    for (const CrossingEvent& e : tail) {
+      pipeline.Push({e.edge, e.forward, e.time + 1000.0});
+    }
+    pipeline.CloseEpochAndWait();
+  };
+
+  options.wal_dir = resumed.path;
+  RecoveredState via_resume;
+  util::StatusOr<std::unique_ptr<IngestPipeline>> pipeline =
+      RecoveryManager(options).Resume({}, &via_resume);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  ASSERT_TRUE(via_resume.used_snapshot);
+  ASSERT_GT(via_resume.replayed_events, 0u);
+  ASSERT_TRUE(via_resume.wal_position.has_value());
+  EXPECT_EQ(via_resume.wal_position->durable_events, stream.size());
+  EXPECT_EQ((*pipeline)->handle().Generation(), via_resume.generation);
+  ingest_tail(**pipeline);
+  pipeline->reset();
+
+  options.wal_dir = reopened.path;
+  util::StatusOr<RecoveredState> via_recover =
+      RecoveryManager(options).Recover();
+  ASSERT_TRUE(via_recover.ok()) << via_recover.status().ToString();
+  {
+    IngestPipelineOptions pipeline_options;
+    pipeline_options.durability.wal_dir = reopened.path;  // Scans on open.
+    pipeline_options.resume_store = via_recover->store;
+    pipeline_options.resume_generation = via_recover->generation;
+    IngestPipeline standalone(kNumEdges, pipeline_options);
+    ingest_tail(standalone);
+  }
+
+  EXPECT_EQ(via_resume.generation, via_recover->generation);
+  EXPECT_EQ(via_resume.durable_epoch, via_recover->durable_epoch);
+  EXPECT_EQ(via_resume.durable_events, via_recover->durable_events);
+  EXPECT_EQ(via_resume.replayed_events, via_recover->replayed_events);
+  EXPECT_EQ(via_resume.store->RawOffsets(), via_recover->store->RawOffsets());
+  EXPECT_EQ(via_resume.store->RawTimes(), via_recover->store->RawTimes());
+  // Same truncation and append position: every WAL segment (and the
+  // copied snapshots) byte-identical.
+  EXPECT_EQ(DirFiles(resumed.path), DirFiles(reopened.path));
+}
+
+// Resume() reads the log once, but the snapshot-covered segments are still
+// validated: corruption there fails Resume() exactly as it fails replay.
+TEST(RecoveryTest, CorruptionUnderTheSnapshotStillFailsResume) {
+  std::vector<CrossingEvent> stream = RandomStream(78, kNumEdges, 600);
+  TempDir dir;
+  {
+    IngestPipelineOptions options;
+    options.durability.wal_dir = dir.path;
+    options.durability.snapshot_every_epochs = 2;
+    options.durability.segment_bytes = 1024;  // Many segments.
+    IngestPipeline pipeline(kNumEdges, options);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      pipeline.Push(stream[i]);
+      if ((i + 1) % kEpochEvery == 0) pipeline.CloseEpochAndWait();
+    }
+    pipeline.CloseEpochAndWait();
+  }
+  RecoveryOptions options;
+  options.wal_dir = dir.path;
+  options.num_edges = kNumEdges;
+  RecoveredState intact;
+  {
+    auto pipeline = RecoveryManager(options).Resume({}, &intact);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  }
+  ASSERT_TRUE(intact.used_snapshot);
+  ASSERT_GT(intact.snapshot_events, 0u);
+
+  // Flip one byte inside the first segment, which the snapshot covers.
+  std::string first = dir.path + "/wal-00000001.seg";
+  ASSERT_GT(std::filesystem::file_size(first), 100u);
+  {
+    std::FILE* f = std::fopen(first.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 90, SEEK_SET);
+    int c = std::fgetc(f);
+    std::fseek(f, 90, SEEK_SET);
+    std::fputc(c ^ 0x20, f);
+    std::fclose(f);
+  }
+  auto pipeline = RecoveryManager(options).Resume();
+  ASSERT_FALSE(pipeline.ok());
+  EXPECT_EQ(pipeline.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---- deployment-scale golden test ----------------------------------------
