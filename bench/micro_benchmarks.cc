@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -316,6 +318,23 @@ double TimePerCallNs(size_t reps, size_t work, const Fn& fn) {
          static_cast<double>(reps * work);
 }
 
+// The host's transparent-huge-page mode, the bracketed word of the kernel's
+// THP setting ("always", "madvise" or "never"), or "unavailable" where that
+// file is missing or unparsable. Frozen stores past 2 MiB ask for huge pages,
+// which only "always" and "madvise" grant (docs/PERFORMANCE.md §10).
+std::string TransparentHugePageMode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  if (!std::getline(in, line)) return "unavailable";
+  size_t open = line.find('[');
+  size_t close = line.find(']', open);  // npos when there is no '['.
+  std::string mode = close == std::string::npos
+                         ? ""
+                         : line.substr(open + 1, close - open - 1);
+  bool known = mode == "always" || mode == "madvise" || mode == "never";
+  return known ? mode : "unavailable";
+}
+
 int KernelReport(const util::FlagParser& flags) {
   // A fixed mid-size world: big enough for stable kernel timings, small
   // enough that CI's bench-smoke job runs it in seconds.
@@ -356,6 +375,7 @@ int KernelReport(const util::FlagParser& flags) {
   bench::JsonReport report("kernels");
   report.Note("world", "400j/1200t");
   report.Note("simd", util::simd::ActiveSimdName());
+  report.Note("thp", TransparentHugePageMode());
   report.Metric("queries", static_cast<double>(resolved_queries.size()));
   report.Metric("mean_boundary_edges",
                 boundaries.empty()

@@ -1,15 +1,44 @@
 #include "forms/frozen_tracking_form.h"
 
 #include <algorithm>
+#include <cstdint>
+
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
 
 #include "util/logging.h"
 
 namespace innet::forms {
 
+namespace {
+
+// Asks the kernel to back the 2 MiB-aligned interior of a freshly reserved,
+// still untouched timestamp array with transparent huge pages (THP in
+// `madvise` mode serves only advised ranges). At DRAM sizes every lookup
+// level otherwise pays a page walk on 4 KiB pages. A hint only: arrays
+// without a whole huge page inside are left alone, failure is harmless, and
+// it compiles to nothing where MADV_HUGEPAGE is undefined.
+void AdviseHugePages([[maybe_unused]] const std::vector<double>& reserved) {
+#ifdef MADV_HUGEPAGE
+  constexpr uintptr_t kHugePage = uintptr_t{1} << 21;
+  uintptr_t first = reinterpret_cast<uintptr_t>(reserved.data());
+  uintptr_t begin = (first + kHugePage - 1) & ~(kHugePage - 1);
+  uintptr_t end =
+      (first + reserved.capacity() * sizeof(double)) & ~(kHugePage - 1);
+  if (begin < end) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_HUGEPAGE);
+  }
+#endif
+}
+
+}  // namespace
+
 FrozenTrackingForm::FrozenTrackingForm(const TrackingForm& source) {
   size_t num_slots = 2 * source.num_edges();
   offsets_.assign(num_slots + 1, 0);
   times_.reserve(source.TotalEvents());
+  AdviseHugePages(times_);
   for (graph::EdgeId road = 0; road < source.num_edges(); ++road) {
     for (bool forward : {true, false}) {
       size_t slot = Slot(road, forward);
@@ -41,6 +70,7 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
   INNET_CHECK(delta.NumSlots() == num_slots);
   offsets_.assign(num_slots + 1, 0);
   times_.reserve(previous.times_.size() + delta.times.size());
+  AdviseHugePages(times_);
 
   size_t slot = 0;
   while (slot < num_slots) {
@@ -87,8 +117,12 @@ FrozenTrackingForm::FrozenTrackingForm(const FrozenTrackingForm& previous,
   offsets_[num_slots] = times_.size();
 }
 
-void FrozenTrackingForm::CountUpToSlots(const size_t* slots, size_t count,
-                                        double t, size_t* out) const {
+// The four hot read kernels start on a 64-byte boundary, so their layout
+// within cache lines and fetch blocks does not shift when unrelated code
+// moves (read-path p99 moved ~12% between builds that changed no read-path
+// code, only where these functions landed).
+[[gnu::aligned(64)]] void FrozenTrackingForm::CountUpToSlots(
+    const size_t* slots, size_t count, double t, size_t* out) const {
   // Software pipeline: while slot i resolves, the lines slot i+1's search
   // reads first are already in flight, and slot i+2's row pointers too.
   for (size_t i = 0; i < count; ++i) {
@@ -100,13 +134,6 @@ void FrozenTrackingForm::CountUpToSlots(const size_t* slots, size_t count,
 
 namespace {
 
-// Shared ascending-instants precondition of the batch kernels.
-void DCheckAscending([[maybe_unused]] const double* times, size_t count) {
-  for (size_t k = 0; k + 1 < count; ++k) {
-    INNET_DCHECK(times[k] <= times[k + 1]);
-  }
-}
-
 // Boundary edges per batched-lookup chunk. 128 edges = 256 slots keeps the
 // scratch on the stack (allocation-free warm path) while giving the
 // prefetch pipeline a long runway.
@@ -114,9 +141,9 @@ constexpr size_t kEdgeChunk = 128;
 
 }  // namespace
 
-double EvaluateStaticCount(const FrozenTrackingForm& store,
-                           const std::vector<BoundaryEdge>& boundary,
-                           double t) {
+[[gnu::aligned(64)]] double EvaluateStaticCount(
+    const FrozenTrackingForm& store, const std::vector<BoundaryEdge>& boundary,
+    double t) {
   // Counts are integers well inside double's exact range, so the running
   // sum is exact and matches the virtual path bit-for-bit.
   double total = 0.0;
@@ -140,9 +167,9 @@ double EvaluateStaticCount(const FrozenTrackingForm& store,
   return total;
 }
 
-double EvaluateTransientCount(const FrozenTrackingForm& store,
-                              const std::vector<BoundaryEdge>& boundary,
-                              double t0, double t1) {
+[[gnu::aligned(64)]] double EvaluateTransientCount(
+    const FrozenTrackingForm& store, const std::vector<BoundaryEdge>& boundary,
+    double t0, double t1) {
   // Mirrors EdgeCountStore::CountInRange term by term: the virtual path
   // accumulates (in(t1) - in(t0)) - (out(t1) - out(t0)) per edge.
   double total = 0.0;
@@ -174,16 +201,19 @@ namespace {
 
 // Adds sign * (events <= times[k]) of one slot into out[0..count): a single
 // merge pass — the cursor only ever advances because `times` is ascending.
-// Each advance gallops from the cursor to bracket the crossing, then
+// The first instant is one UpperBound over the whole span, whose early-outs
+// and first halving steps read the lines PrefetchSlot already fetched. Each
+// later advance gallops from the cursor to bracket the crossing, then
 // resolves the bracket with UpperBound, so dense series steps cost a couple
-// of compares and sparse ones O(log gap).
+// of compares and sparse ones O(log gap). Requires count >= 1.
 void AccumulateSlotSeries(const FrozenTrackingForm& store, size_t slot,
                           double sign, const double* times, size_t count,
                           double* out) {
   const double* seq = store.SlotBegin(slot);
   size_t n = static_cast<size_t>(store.SlotEnd(slot) - seq);
-  size_t cursor = 0;
-  for (size_t k = 0; k < count; ++k) {
+  size_t cursor = FrozenTrackingForm::UpperBound(seq, n, times[0]);
+  out[0] += sign * static_cast<double>(cursor);
+  for (size_t k = 1; k < count; ++k) {
     const double t = times[k];
     const double* p = seq + cursor;
     size_t rest = n - cursor;
@@ -202,12 +232,14 @@ void AccumulateSlotSeries(const FrozenTrackingForm& store, size_t slot,
 
 }  // namespace
 
-void EvaluateStaticCountBatch(const FrozenTrackingForm& store,
-                              const std::vector<BoundaryEdge>& boundary,
-                              const double* times, size_t count,
-                              double* out) {
-  DCheckAscending(times, count);
+[[gnu::aligned(64)]] void EvaluateStaticCountBatch(
+    const FrozenTrackingForm& store, const std::vector<BoundaryEdge>& boundary,
+    const double* times, size_t count, double* out) {
+  for (size_t k = 0; k + 1 < count; ++k) {
+    INNET_DCHECK(times[k] <= times[k + 1]);
+  }
   for (size_t k = 0; k < count; ++k) out[k] = 0.0;
+  if (count == 0) return;
   size_t num_edges = boundary.size();
   for (size_t i = 0; i < num_edges; ++i) {
     if (i + 1 < num_edges) {
@@ -222,37 +254,6 @@ void EvaluateStaticCountBatch(const FrozenTrackingForm& store,
     AccumulateSlotSeries(
         store, FrozenTrackingForm::Slot(b.edge, !b.inward_is_forward), -1.0,
         times, count, out);
-  }
-}
-
-void EvaluateTransientCountBatch(const FrozenTrackingForm& store,
-                                 const std::vector<BoundaryEdge>& boundary,
-                                 double t0, const double* times, size_t count,
-                                 double* out) {
-  DCheckAscending(times, count);
-  for (size_t k = 0; k < count; ++k) out[k] = 0.0;
-  // The per-edge t0 bases accumulate into one total subtracted after the
-  // edge loop — a single O(steps) pass instead of O(edges * steps)
-  // redundant writes. Bases and series values are exact integers, so the
-  // regrouped arithmetic is bit-identical to per-edge subtraction.
-  double base_total = 0.0;
-  size_t num_edges = boundary.size();
-  for (size_t i = 0; i < num_edges; ++i) {
-    if (i + 1 < num_edges) {
-      const BoundaryEdge& next = boundary[i + 1];
-      store.PrefetchSlot(FrozenTrackingForm::Slot(next.edge, true));
-      store.PrefetchSlot(FrozenTrackingForm::Slot(next.edge, false));
-    }
-    const BoundaryEdge& b = boundary[i];
-    size_t slot_in = FrozenTrackingForm::Slot(b.edge, b.inward_is_forward);
-    size_t slot_out = FrozenTrackingForm::Slot(b.edge, !b.inward_is_forward);
-    base_total += static_cast<double>(store.CountUpToSlot(slot_in, t0)) -
-                  static_cast<double>(store.CountUpToSlot(slot_out, t0));
-    AccumulateSlotSeries(store, slot_in, 1.0, times, count, out);
-    AccumulateSlotSeries(store, slot_out, -1.0, times, count, out);
-  }
-  if (base_total != 0.0) {
-    for (size_t k = 0; k < count; ++k) out[k] -= base_total;
   }
 }
 

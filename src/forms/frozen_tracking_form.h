@@ -15,7 +15,9 @@
 // down to a small window, and a counting loop over that window that the
 // compiler vectorizes. CountUpToSlots prefetches the next slot's lines so
 // DRAM latency overlaps across a boundary loop instead of serializing per
-// edge.
+// edge. Both copying constructors advise `times_` onto transparent huge
+// pages before filling it, so at DRAM sizes a lookup's page walks hit the
+// TLB instead of adding misses of their own.
 //
 // Counts are EXACTLY those of the source TrackingForm — integer-valued
 // doubles, so every evaluation over a frozen store is bit-identical to the
@@ -204,19 +206,14 @@ double EvaluateTransientCount(const FrozenTrackingForm& store,
 
 /// Batch static-count kernel: evaluates the boundary at `count` query times
 /// in ASCENDING order, writing out[k] = static count at times[k]. One merge
-/// pass per (edge, direction) — each slot's event array is walked once for
-/// the whole series instead of `count` independent searches. Exactly equals
-/// calling EvaluateStaticCount per time (integer arithmetic, no rounding).
+/// pass per (edge, direction): the first instant is one UpperBound over the
+/// slot's span, and each later one gallops forward from the previous
+/// cursor, so each slot's event array is walked once for the whole series
+/// instead of `count` independent searches. Exactly equals calling
+/// EvaluateStaticCount per time (integer arithmetic, no rounding).
 void EvaluateStaticCountBatch(const FrozenTrackingForm& store,
                               const std::vector<BoundaryEdge>& boundary,
                               const double* times, size_t count, double* out);
-
-/// Batch transient-count kernel: out[k] = net change over (t0, times[k]]
-/// for ASCENDING times.
-void EvaluateTransientCountBatch(const FrozenTrackingForm& store,
-                                 const std::vector<BoundaryEdge>& boundary,
-                                 double t0, const double* times, size_t count,
-                                 double* out);
 
 }  // namespace innet::forms
 

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/framework.h"
@@ -13,6 +15,7 @@
 #include "forms/frozen_tracking_form.h"
 #include "forms/region_count.h"
 #include "forms/tracking_form.h"
+#include "io/serialize.h"
 #include "sampling/samplers.h"
 #include "util/rng.h"
 
@@ -155,7 +158,8 @@ TEST(FrozenTrackingFormTest, BatchKernelsMatchScalarLoops) {
   TrackingForm tracking = RandomForm(19, 30, 150);
   FrozenTrackingForm frozen = tracking.Freeze();
   util::Rng rng(20);
-  for (size_t count : {size_t{1}, size_t{2}, size_t{7}, size_t{256}}) {
+  for (size_t count :
+       {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{256}}) {
     std::vector<BoundaryEdge> boundary =
         RandomBoundary(rng, tracking.num_edges(), 12);
     std::vector<double> times(count);
@@ -170,16 +174,6 @@ TEST(FrozenTrackingFormTest, BatchKernelsMatchScalarLoops) {
                               static_cast<const EdgeCountStore&>(tracking),
                               boundary, times[k]))
           << "static k=" << k;
-    }
-
-    double t0 = times.front() - rng.Uniform(0.0, 100.0);
-    EvaluateTransientCountBatch(frozen, boundary, t0, times.data(), count,
-                                batch.data());
-    for (size_t k = 0; k < count; ++k) {
-      EXPECT_EQ(batch[k], EvaluateTransientCount(
-                              static_cast<const EdgeCountStore&>(tracking),
-                              boundary, t0, times[k]))
-          << "transient k=" << k;
     }
   }
 }
@@ -212,13 +206,6 @@ TEST(FrozenTrackingFormTest, FusedAndSeriesKernelsMatchVirtualPath) {
                 EvaluateStaticCount(virtual_store, boundary, times[k]))
           << "k=" << k;
     }
-    EvaluateTransientCountBatch(frozen, boundary, t0 - 5.0, times.data(),
-                                times.size(), batch.data());
-    for (size_t k = 0; k < times.size(); ++k) {
-      ASSERT_EQ(batch[k], EvaluateTransientCount(virtual_store, boundary,
-                                                 t0 - 5.0, times[k]))
-          << "k=" << k;
-    }
   }
 }
 
@@ -236,6 +223,119 @@ TEST(FrozenTrackingFormTest, EmptyStoreAndEmptyBoundary) {
   EvaluateStaticCountBatch(frozen, boundary, times, 3, out);
   EXPECT_EQ(out[0], 0.0);
   EXPECT_EQ(out[2], 0.0);
+}
+
+// The series kernel seeks its first instant with one UpperBound over the
+// whole span and gallops from there. On spans of 2^16+ timestamps the seek
+// must land exactly where a per-instant lookup does: deep in the span, on a
+// duplicate plateau, before the first and after the last timestamp, and
+// for instants repeated back to back.
+TEST(FrozenTrackingFormTest, SeriesKernelSeeksFirstInstantOnLongSpans) {
+  constexpr size_t kSpan = size_t{1} << 16;
+  TrackingForm tracking(3);
+  for (EdgeId e = 0; e < 3; ++e) {
+    for (bool forward : {true, false}) {
+      // Timestamps 0, 1, 2, ... with a plateau of 500 copies of 40000.5
+      // and a shorter one per edge, so spans differ in length and content.
+      size_t extra = 1000 * e + (forward ? 0 : 333);
+      for (size_t i = 0; i < kSpan + extra; ++i) {
+        double t = static_cast<double>(i);
+        tracking.RecordTraversal(e, forward, t);
+        if (i == 40000) {
+          for (int d = 0; d < 500; ++d) {
+            tracking.RecordTraversal(e, forward, t + 0.5);
+          }
+        }
+        if (i == 123 + extra) {
+          for (int d = 0; d < 7; ++d) tracking.RecordTraversal(e, forward, t);
+        }
+      }
+    }
+  }
+  FrozenTrackingForm frozen = tracking.Freeze();
+  const auto& virtual_store = static_cast<const EdgeCountStore&>(tracking);
+  std::vector<BoundaryEdge> boundary = {{0, true}, {1, false}, {2, true}};
+  const double last = static_cast<double>(kSpan + 2333);
+  const std::vector<std::vector<double>> series = {
+      {50000.25, 50001.0, 50100.0, 60000.0},  // Deep in the span.
+      {40000.5, 40000.5, 40001.0, 40002.0},   // On the long plateau.
+      {123.0, 123.0, 1123.0, 2123.0},         // On the short plateaus.
+      {-5.0, -1.0, 0.0, 3.0, 70000.0},        // Before the first.
+      {last + 1.0, last + 2.0, 1e12},         // After the last.
+      {777.0, 777.0, 777.0, 777.0},           // Repeated instants.
+      {65535.0, 65536.0, 65537.0, last},      // Near each span's end.
+  };
+  for (const std::vector<double>& times : series) {
+    std::vector<double> batch(times.size(), -1.0);
+    EvaluateStaticCountBatch(frozen, boundary, times.data(), times.size(),
+                             batch.data());
+    for (size_t k = 0; k < times.size(); ++k) {
+      EXPECT_EQ(batch[k],
+                EvaluateStaticCount(virtual_store, boundary, times[k]))
+          << "first instant " << times[0] << " k=" << k;
+    }
+  }
+}
+
+// Past 2 MiB of timestamps (600K events = 4.8 MB) both copying
+// constructors advise the array onto huge pages. The store must stay
+// bit-identical however it was built: a whole Freeze(), an incremental
+// re-freeze from a partial store plus one epoch delta, or a snapshot round
+// trip.
+TEST(FrozenTrackingFormTest, LargeStoreIsIdenticalAcrossFreezeRefreezeAndSnapshot) {
+  constexpr size_t kEdges = 500;
+  constexpr size_t kEvents = 640000;
+  struct Event {
+    EdgeId edge;
+    bool forward;
+    double time;
+    bool in_delta;
+  };
+  util::Rng rng(31);
+  std::vector<Event> events(kEvents);
+  for (Event& e : events) {
+    e.edge = static_cast<EdgeId>(rng.UniformIndex(kEdges));
+    e.forward = rng.Bernoulli(0.5);
+    e.time = std::floor(rng.Uniform(0.0, 50000.0) * 4.0) / 4.0;
+    // Late-epoch events mostly append; some land inside the history, so
+    // the re-freeze takes both its append and its merge branch.
+    e.in_delta = e.time >= 45000.0 || rng.Bernoulli(0.05);
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.time < b.time; });
+
+  TrackingForm whole(kEdges);
+  TrackingForm history(kEdges);
+  std::vector<std::vector<double>> delta_spans(2 * kEdges);
+  for (const Event& e : events) {
+    whole.RecordTraversal(e.edge, e.forward, e.time);
+    if (e.in_delta) {
+      delta_spans[FrozenTrackingForm::Slot(e.edge, e.forward)].push_back(
+          e.time);
+    } else {
+      history.RecordTraversal(e.edge, e.forward, e.time);
+    }
+  }
+  EpochDelta delta;
+  delta.offsets.push_back(0);
+  for (const std::vector<double>& span : delta_spans) {
+    delta.times.insert(delta.times.end(), span.begin(), span.end());
+    delta.offsets.push_back(delta.times.size());
+  }
+
+  FrozenTrackingForm frozen = whole.Freeze();
+  ASSERT_GT(frozen.StorageBytes(), size_t{2} << 20);
+  FrozenTrackingForm refrozen(history.Freeze(), delta);
+  EXPECT_EQ(refrozen.RawTimes(), frozen.RawTimes());
+  EXPECT_EQ(refrozen.RawOffsets(), frozen.RawOffsets());
+
+  std::string path = ::testing::TempDir() + "frozen_form_large_store.snap";
+  ASSERT_TRUE(io::SaveFrozenSnapshot(frozen, {}, path).ok());
+  auto loaded = io::LoadFrozenSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->store.RawTimes(), frozen.RawTimes());
+  EXPECT_EQ(loaded->store.RawOffsets(), frozen.RawOffsets());
 }
 
 // End-to-end: a processor over the frozen store answers every query —

@@ -160,13 +160,6 @@ TEST(UpperBoundKernelTest, SeriesKernelsMatchPerInstantLoopsOnAdversarialSpans) 
     EXPECT_EQ(batch[k], EvaluateStaticCount(virtual_store, boundary, times[k]))
         << "static k=" << k;
   }
-  EvaluateTransientCountBatch(frozen, boundary, 1.0, times.data(),
-                              times.size(), batch.data());
-  for (size_t k = 0; k < times.size(); ++k) {
-    EXPECT_EQ(batch[k],
-              EvaluateTransientCount(virtual_store, boundary, 1.0, times[k]))
-        << "transient k=" << k;
-  }
 }
 
 }  // namespace
